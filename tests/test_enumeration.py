@@ -222,3 +222,19 @@ def test_composition_suites_find_nothing():
         assert r.failures == 0 and r.instances > 0
         out = find_counterexample(law, SearchSpec(universe_size=2, carrier_size=2))
         assert out.status == "none"
+
+
+def test_find_counterexample_witness_is_suite_first_failure():
+    for law in ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P31"):
+        suite = approx_law_suite(law, 3)
+        out = find_counterexample(law, SearchSpec(universe_size=3, carrier_size=1))
+        assert out.witness == suite.first_failure
+    suite = p22_suite(2)
+    out = find_counterexample("P22", SearchSpec(universe_size=2, carrier_size=2))
+    witness = dict(out.witness)
+    assert witness.pop("failed")
+    assert witness == suite.first_failure
+    for law in ("P41", "P42"):
+        suite = composition_suite_result(law.lower())
+        out = find_counterexample(law, SearchSpec(universe_size=2, carrier_size=2))
+        assert out.witness == suite.first_failure
