@@ -521,11 +521,16 @@ def check_product_approx_laws(space: ApproxSpace, table: OpTable, x: Subset, y: 
 
     The congruence verdict rides along; none of the relations assumes it.
     """
-    u = table.universe
-    if table.carrier.mask != u.full_mask():
+    if table.carrier.mask != table.universe.full_mask():
         raise CarrierNotFullError("product laws need a table on the whole universe")
     if not x or not y:
         raise EmptySubsetError("X and Y must be nonempty")
+    return ProductApproxReport(_product_relations(space, table, x, y), is_congruence(space, table))
+
+
+def _product_relations(space: ApproxSpace, table: OpTable, x: Subset, y: Subset) -> tuple[RelationCheck, ...]:
+    """Relations (a)-(d) of check_product_approx_laws, on inputs it has validated."""
+    u = table.universe
     ax, ay = approximate(space, x), approximate(space, y)
     prod = set_product(table, x, y)
     aprod = approximate(space, prod)
@@ -537,10 +542,9 @@ def check_product_approx_laws(space: ApproxSpace, table: OpTable, x: Subset, y: 
         w = None if bad == 0 else u.labels[(bad & -bad).bit_length() - 1]
         return RelationCheck(name, bad == 0, w)
 
-    relations = (
+    return (
         incl("a", up_prod, aprod.upper),
         incl("b", aprod.upper, up_prod),
         incl("c", lo_prod, aprod.lower),
         incl("d", aprod.lower, lo_prod),
     )
-    return ProductApproxReport(relations, is_congruence(space, table))

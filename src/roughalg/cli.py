@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -17,13 +18,7 @@ from typing import Optional
 
 from .approx import ApproxSpace, approximate, space_from_partition
 from .algebra import TABLE_LAWS, classify
-from .enumeration import (
-    SearchSpec,
-    approx_law_suite,
-    composition_suite_result,
-    p22_suite,
-    search,
-)
+from .enumeration import SearchSpec, _composition_suite, _p22_suite, approx_law_suite, search
 from .errors import RoughAlgError
 from .fixtures import audit_paper, find_approx_claim
 from .morphisms import check_anti_group_hom, check_hom, check_rough_hom
@@ -39,6 +34,13 @@ class CliInputError(RoughAlgError):
     """Bad file contents or references; maps to exit code 2."""
 
 
+def _jobs(text: str) -> int:
+    cpus = os.cpu_count() or 1
+    if not (text.isdecimal() and 1 <= int(text) <= cpus):
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..{cpus}, got {text!r}")
+    return int(text)
+
+
 def _global_flags(top_level: bool) -> argparse.ArgumentParser:
     # Subparsers get SUPPRESS defaults so a flag before the subcommand is
     # not clobbered; the top-level copy carries the real defaults.  The two
@@ -47,8 +49,8 @@ def _global_flags(top_level: bool) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=d(False),
                         help="emit a machine-readable report")
-    common.add_argument("--jobs", type=int, default=d(1), metavar="N",
-                        help="parallel workers for search/laws sweeps")
+    common.add_argument("--jobs", type=_jobs, default=d(1), metavar="N",
+                        help="parallel workers for search/laws sweeps (1..CPU count)")
     common.add_argument("--assert", dest="assert_", action="store_true", default=d(False),
                         help="exit 1 on false verdicts or discrepancies")
     common.add_argument("--verbose", action="store_true", default=d(False),
@@ -321,9 +323,9 @@ def _cmd_check_morphism(args) -> tuple[dict, list[str], bool]:
 
 def _run_suite(law: str, max_n: int, jobs: int):
     if law == "P22":
-        return p22_suite(min(max_n, 2))
+        return _p22_suite(min(max_n, 2), jobs)
     if law in ("P41", "P42"):
-        return composition_suite_result("p41" if law == "P41" else "p42")
+        return _composition_suite(law.lower(), jobs)
     return approx_law_suite(law, max_n, jobs)
 
 

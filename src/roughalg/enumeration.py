@@ -1,9 +1,18 @@
-"""Exhaustive generators and the constraint-driven searcher.
+"""Exhaustive generators, the constraint-driven searcher and the law sweeps.
 
 Everything streams in one canonical order (partition restricted-growth
 string, then carrier combination, then table cells row-major, then mapping
 graph), so searches are reproducible and the space can be split by index
 ranges across workers without changing the output.
+
+A law sweep is stream -> reducer -> `_pmap`.  Each law family has one
+instance stream over a slice of its tasks (`_approx_stream` for L1-L9 and
+P31, `_p22_stream`, `_composition_stream` for P41/P42), yielding per
+instance a falsy item if it holds, else a callable that builds the witness.
+`_count` reduces a stream for the `laws` suites, `_first` for
+`find_counterexample` under a budget.  `_pmap` runs the slices, on worker
+processes when jobs > 1, and returns results in task order.  `search` maps
+`_scan` over index ranges the same way; `_scan` stops at the limit.
 
 Size caps: universes up to 6 elements, table carriers up to 4.
 """
@@ -13,7 +22,8 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 from .approx import (
     ApproxSpace,
@@ -25,14 +35,9 @@ from .approx import (
     make_universe,
     space_from_partition,
 )
-from .algebra import (
-    OpTable,
-    check_product_approx_laws,
-    evaluate_law,
-    is_congruence,
-)
+from .algebra import OpTable, _product_relations, evaluate_law, is_congruence
 from .errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
-from .morphisms import Mapping, verify_composition_props
+from .morphisms import Mapping, _composition_outcomes
 from .rough_structures import check_rough_anti_semigroup
 
 MAX_UNIVERSE = 6
@@ -133,6 +138,25 @@ def enum_mappings(domain: Subset, codomain: Subset, surjective_only: bool = Fals
         yield Mapping(domain, codomain.universe, graph, codomain)
 
 
+# the ordered parallel map
+
+
+def _split(tasks: Sequence, jobs: int) -> list:
+    """At most `jobs` contiguous slices of tasks, in order."""
+    size = max(1, -(-len(tasks) // max(1, jobs)))
+    return [tasks[i:i + size] for i in range(0, len(tasks), size)]
+
+
+def _pmap(fn: Callable, argsets: list[tuple], jobs: int) -> list:
+    """[fn(*args) for args in argsets], on up to `jobs` worker processes
+    when there is more than one argset; in-process otherwise."""
+    if jobs <= 1 or len(argsets) <= 1:
+        return [fn(*args) for args in argsets]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(fn, *args) for args in argsets]
+        return [f.result() for f in futures]
+
+
 # searching
 
 
@@ -187,15 +211,15 @@ class SearchOutcome:
     budget_exhausted: bool
 
 
+def _carriers(universe: Universe, k: int) -> list[Subset]:
+    return [Subset.from_indices(universe, c) for c in itertools.combinations(range(universe.size), k)]
+
+
 def _search_fixture(spec: SearchSpec):
     universe = canonical_universe(spec.universe_size)
     spaces = [space_from_partition(p) for p in enum_partitions(spec.universe_size, universe)]
-    carriers = [
-        Subset.from_indices(universe, combo)
-        for combo in itertools.combinations(range(universe.size), spec.carrier_size)
-    ]
     ntables = (spec.universe_size + (1 if spec.allow_indet else 0)) ** (spec.carrier_size ** 2)
-    return universe, spaces, carriers, ntables
+    return universe, spaces, _carriers(universe, spec.carrier_size), ntables
 
 
 def _candidate_matches(spec: SearchSpec, space: ApproxSpace, table: OpTable) -> bool:
@@ -208,7 +232,8 @@ def _candidate_matches(spec: SearchSpec, space: ApproxSpace, table: OpTable) -> 
     return True
 
 
-def _search_range(spec: SearchSpec, start: int, end: int) -> list[SearchHit]:
+def _scan(spec: SearchSpec, start: int, end: int) -> list[SearchHit]:
+    """Hits among candidates start..end-1, stopping once spec.limit are held."""
     universe, spaces, carriers, ntables = _search_fixture(spec)
     per_space = len(carriers) * ntables
     hits = []
@@ -218,6 +243,8 @@ def _search_range(spec: SearchSpec, start: int, end: int) -> list[SearchHit]:
         table = _table_at(universe, carriers[cidx], spec.allow_indet, tidx)
         if _candidate_matches(spec, spaces[sidx], table):
             hits.append(SearchHit(idx, spaces[sidx], table))
+            if len(hits) == spec.limit:
+                break
     return hits
 
 
@@ -229,26 +256,10 @@ def search(spec: SearchSpec, jobs: int = 1) -> SearchOutcome:
     universe, spaces, carriers, ntables = _search_fixture(spec)
     total = len(spaces) * len(carriers) * ntables
     end = min(total, spec.budget)
-    hits: list[SearchHit] = []
-    if jobs <= 1:
-        per_space = len(carriers) * ntables
-        for idx in range(end):
-            sidx, rest = divmod(idx, per_space)
-            cidx, tidx = divmod(rest, ntables)
-            table = _table_at(universe, carriers[cidx], spec.allow_indet, tidx)
-            if _candidate_matches(spec, spaces[sidx], table):
-                hits.append(SearchHit(idx, spaces[sidx], table))
-                if len(hits) == spec.limit:
-                    break
-    else:
-        chunk = max(1, -(-end // jobs))
-        ranges = [(s, min(s + chunk, end)) for s in range(0, end, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_search_range, itertools.repeat(spec),
-                                 [r[0] for r in ranges], [r[1] for r in ranges]):
-                hits.extend(part)
-        hits.sort(key=lambda h: h.index)
-        hits = hits[: spec.limit]
+    # Each range holds at most `limit` hits and precedes the next range, so
+    # the first `limit` hits of the concatenation are the global first.
+    parts = _pmap(_scan, [(spec, r.start, r.stop) for r in _split(range(end), jobs)], jobs)
+    hits = [hit for part in parts for hit in part][: spec.limit]
     limit_reached = len(hits) == spec.limit
     if limit_reached:
         examined = hits[-1].index + 1
@@ -261,6 +272,148 @@ def search(spec: SearchSpec, jobs: int = 1) -> SearchOutcome:
         limit_reached=limit_reached,
         budget_exhausted=not limit_reached and end == spec.budget and spec.budget < total,
     )
+
+
+# instance streams, one per law family
+
+
+def _space_tasks(max_n: int) -> list[tuple[int, int]]:
+    """(n, partition index) for every approximation space with n <= max_n."""
+    return [(n, p) for n in range(1, max_n + 1) for p in range(bell_number(n))]
+
+
+def _task_spaces(tasks: list[tuple[int, int]]):
+    """(universe, space, every subset) for each (n, partition index) task."""
+    fixtures: dict[int, tuple] = {}
+    for n, pidx in tasks:
+        if n not in fixtures:
+            universe = canonical_universe(n)
+            subsets = [Subset(universe, m) for m in range(1 << n)]
+            fixtures[n] = (universe, list(enum_spaces(n, universe)), subsets)
+        universe, spaces, subsets = fixtures[n]
+        yield universe, spaces[pidx], subsets
+
+
+def _space_descr(space: ApproxSpace) -> dict:
+    return {
+        "universe": list(space.universe.labels),
+        "partition": [list(b.labels()) for b in space.partition.blocks],
+    }
+
+
+def _table_labels(table: OpTable) -> list[list[str]]:
+    k = table.k
+    labels = ["?" if v is None else table.universe.labels[v] for v in table.cells]
+    return [labels[r * k:(r + 1) * k] for r in range(k)]
+
+
+def _l_or_p31_fails(law: str, space, x, y) -> tuple[bool, str | None]:
+    if law == "P31":
+        ua = approximate(space, x).upper
+        ub = approximate(space, y).upper
+        uab = approximate(space, x & y).upper
+        bad = (ua & ub) - uab
+        return bool(bad), (bad.labels()[0] if bad else None)
+    chk = check_approx_law(space, law, x, y)
+    return not chk.holds, chk.witness
+
+
+def _approx_witness(space: ApproxSpace, x: Subset, y: Subset, wit: str | None) -> dict:
+    return {**_space_descr(space), "A": list(x.labels()), "B": list(y.labels()), "witness": wit}
+
+
+def _approx_stream(law: str, tasks: list[tuple[int, int]]):
+    """L1..L9 or P31 over every pair of subsets, for each task's space."""
+    for _, space, subsets in _task_spaces(tasks):
+        for x in subsets:
+            for y in subsets:
+                fails, wit = _l_or_p31_fails(law, space, x, y)
+                yield fails and partial(_approx_witness, space, x, y, wit)
+
+
+def _p22_witness(space: ApproxSpace, table: OpTable, x: Subset, y: Subset,
+                 failed: list[str], cong: bool) -> dict:
+    return {**_space_descr(space), "table": _table_labels(table), "X": list(x.labels()),
+            "Y": list(y.labels()), "failed": failed, "congruence": cong}
+
+
+def _p22_stream(tasks: list[tuple[int, int]], tally: list[int]):
+    """Relations (a) and (b) over every total table on each task's universe
+    and every pair of nonempty subsets.  Adds the congruent instances to
+    tally as [instances, inclusion (a) failures, equality failures]."""
+    for universe, space, subsets in _task_spaces(tasks):
+        nonempty = subsets[1:]
+        for table in enum_tables(universe, Subset.full(universe)):
+            cong = is_congruence(space, table).holds
+            for x in nonempty:
+                for y in nonempty:
+                    rels = _product_relations(space, table, x, y)
+                    failed = [r.relation for r in rels[:2] if not r.holds]
+                    if cong:
+                        tally[0] += 1
+                        tally[1] += not rels[0].holds
+                        tally[2] += bool(failed)
+                    yield failed and partial(_p22_witness, space, table, x, y, failed, cong)
+
+
+def _composition_witness(table: OpTable, ce) -> dict:
+    return {"table": _table_labels(table), "phi1": [list(p) for p in ce.phi1.pairs()],
+            "phi2": [list(p) for p in ce.phi2.pairs()], "pair": list(ce.pair)}
+
+
+def _composition_stream(prop: str, allow_indet: bool, carriers: list[Subset]):
+    """Every checked pair of self-maps of each carrier, over each of its tables."""
+    for carrier in carriers:
+        maps = list(enum_mappings(carrier, carrier))
+        pairs = [(a, b) for a in maps for b in maps]
+        for table in enum_tables(carrier.universe, carrier, allow_indet):
+            for ce in _composition_outcomes(table, pairs, prop):
+                yield ce and partial(_composition_witness, table, ce)
+
+
+# reducers
+
+
+def _first(stream, budget: int) -> tuple[str, dict | None, int]:
+    """(status, witness, examined) of the first failure within budget instances."""
+    examined = 0
+    for item in stream:
+        if examined == budget:
+            return "budget", None, examined
+        examined += 1
+        if item:
+            return "found", item(), examined
+    return "none", None, examined
+
+
+def _count(stream_fn: Callable, *args) -> tuple[int, int, dict | None]:
+    """(instances, failures, first witness) over all of stream_fn(*args).
+
+    Takes the stream's function and arguments, not the stream, so that
+    `_pmap` can send it to a worker process."""
+    instances = failures = 0
+    first = None
+    for item in stream_fn(*args):
+        instances += 1
+        if item:
+            failures += 1
+            if first is None:
+                first = item()
+    return instances, failures, first
+
+
+def _p22_count(tasks: list[tuple[int, int]]) -> tuple:
+    tally = [0, 0, 0]
+    return (*_count(_p22_stream, tasks, tally), *tally)
+
+
+def _sweep(chunk_fn: Callable, args: tuple, tasks: Sequence, jobs: int):
+    """chunk_fn(*args, part) over at most `jobs` slices of tasks, merged in
+    task order into (instances, failures, first witness, summed extra counts)."""
+    parts = _pmap(chunk_fn, [(*args, part) for part in _split(tasks, jobs)], jobs)
+    first = next((p[2] for p in parts if p[2] is not None), None)
+    extra = [sum(col) for col in zip(*(p[3:] for p in parts))]
+    return sum(p[0] for p in parts), sum(p[1] for p in parts), first, extra
 
 
 # counterexample mining and exhaustive suites
@@ -278,97 +431,24 @@ class FindOutcome:
     examined: int
 
 
-def _subset_lists(universe: Universe):
-    return [Subset(universe, m) for m in range(1 << universe.size)]
-
-
-def _space_descr(space: ApproxSpace) -> dict:
-    return {
-        "universe": list(space.universe.labels),
-        "partition": [list(b.labels()) for b in space.partition.blocks],
-    }
-
-
-def _l_or_p31_fails(law: str, space, x, y) -> tuple[bool, str | None]:
-    if law == "P31":
-        ua = approximate(space, x).upper
-        ub = approximate(space, y).upper
-        uab = approximate(space, x & y).upper
-        bad = (ua & ub) - uab
-        return bool(bad), (bad.labels()[0] if bad else None)
-    chk = check_approx_law(space, law, x, y)
-    return not chk.holds, chk.witness
-
-
 def find_counterexample(law: str, bounds: SearchSpec) -> FindOutcome:
     """Smallest-by-canonical-order counterexample within bounds, if any.
 
-    BudgetExhausted is a status, never an error.
+    BudgetExhausted is a status, never an error.  The budget counts what the
+    law's suite counts as instances: subset pairs, or checked mapping pairs
+    for P41 and P42.
     """
     if law not in COUNTEREXAMPLE_LAWS:
         raise ValueError(f"no registered relation named {law!r}")
-    examined = 0
-    budget = bounds.budget
-
+    n = bounds.universe_size
     if law in ("P41", "P42"):
-        report = composition_suite("p41" if law == "P41" else "p42",
-                                   bounds.universe_size, bounds.carrier_size,
-                                   bounds.allow_indet)
-        if report["counterexamples"]:
-            return FindOutcome(law, "found", report["counterexamples"][0], report["instances"])
-        return FindOutcome(law, "none", None, report["instances"])
-
-    for n in range(1, bounds.universe_size + 1):
-        universe = canonical_universe(n)
-        subsets = _subset_lists(universe)
-        for space in enum_spaces(n, universe):
-            if law == "P22":
-                carrier = Subset.full(universe)
-                for table in enum_tables(universe, carrier, allow_indet=False):
-                    for x in subsets:
-                        if not x:
-                            continue
-                        for y in subsets:
-                            if not y:
-                                continue
-                            examined += 1
-                            if examined > budget:
-                                return FindOutcome(law, "budget", None, examined - 1)
-                            rep = check_product_approx_laws(space, table, x, y)
-                            bad = [r.relation for r in rep.relations[:2] if not r.holds]
-                            if bad:
-                                w = _space_descr(space)
-                                w.update({
-                                    "table": [[_cell_label(universe, v) for v in row]
-                                              for row in _rows(table)],
-                                    "X": list(x.labels()),
-                                    "Y": list(y.labels()),
-                                    "failed": bad,
-                                    "congruence": rep.congruence.holds,
-                                })
-                                return FindOutcome(law, "found", w, examined)
-            else:
-                for x in subsets:
-                    for y in subsets:
-                        examined += 1
-                        if examined > budget:
-                            return FindOutcome(law, "budget", None, examined - 1)
-                        fails, wit = _l_or_p31_fails(law, space, x, y)
-                        if fails:
-                            w = _space_descr(space)
-                            w.update({"A": list(x.labels()), "B": list(y.labels()),
-                                      "witness": wit})
-                            return FindOutcome(law, "found", w, examined)
-    return FindOutcome(law, "none", None, examined)
-
-
-def _rows(table: OpTable) -> list[list[Optional[int]]]:
-    k = table.k
-    return [[table.cells[r * k + c] for c in range(k)] for r in range(k)]
-
-
-def _cell_label(universe: Universe, v: Optional[int]) -> str:
-    return "?" if v is None else universe.labels[v]
+        carriers = _carriers(canonical_universe(n), bounds.carrier_size)
+        stream = _composition_stream(law.lower(), bounds.allow_indet, carriers)
+    elif law == "P22":
+        stream = _p22_stream(_space_tasks(n), [0, 0, 0])
+    else:
+        stream = _approx_stream(law, _space_tasks(n))
+    return FindOutcome(law, *_first(stream, bounds.budget))
 
 
 # suite drivers behind the CLI laws command
@@ -383,51 +463,11 @@ class SuiteResult:
     extra: tuple[tuple[str, int], ...] = ()
 
 
-def _approx_tasks(max_n: int) -> list[tuple[int, int]]:
-    return [(n, p) for n in range(1, max_n + 1) for p in range(bell_number(n))]
-
-
-def _approx_chunk(law: str, tasks: list[tuple[int, int]]) -> tuple[int, int, dict | None]:
-    instances = failures = 0
-    first = None
-    by_n: dict[int, list] = {}
-    for n, pidx in tasks:
-        if n not in by_n:
-            universe = canonical_universe(n)
-            by_n[n] = [universe, list(enum_spaces(n, universe)), _subset_lists(universe)]
-        universe, spaces, subsets = by_n[n]
-        space = spaces[pidx]
-        for x in subsets:
-            for y in subsets:
-                instances += 1
-                fails, wit = _l_or_p31_fails(law, space, x, y)
-                if fails:
-                    failures += 1
-                    if first is None:
-                        first = _space_descr(space)
-                        first.update({"A": list(x.labels()), "B": list(y.labels()),
-                                      "witness": wit})
-    return instances, failures, first
-
-
 def approx_law_suite(law: str, max_n: int, jobs: int = 1) -> SuiteResult:
     """Exhaustive sweep of one of L1..L9 or P31 over all spaces with n <= max_n."""
     if not 1 <= max_n <= MAX_UNIVERSE:
         raise SizeOutOfRangeError(f"max_n must be 1..{MAX_UNIVERSE}")
-    tasks = _approx_tasks(max_n)
-    if jobs <= 1:
-        instances, failures, first = _approx_chunk(law, tasks)
-    else:
-        chunk = max(1, -(-len(tasks) // jobs))
-        parts = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
-        instances = failures = 0
-        first = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, f, w in pool.map(_approx_chunk, itertools.repeat(law), parts):
-                instances += i
-                failures += f
-                if first is None and w is not None:
-                    first = w
+    instances, failures, first, _ = _sweep(_count, (_approx_stream, law), _space_tasks(max_n), jobs)
     return SuiteResult(law, instances, failures, first)
 
 
@@ -437,85 +477,27 @@ def p22_suite(max_n: int) -> SuiteResult:
     Counts failures of the upper-product equality overall and restricted to
     congruent instances, where inclusion (a) is a theorem.
     """
-    instances = failures = 0
-    first = None
-    cong_instances = cong_a_failures = cong_eq_failures = 0
-    for n in range(1, max_n + 1):
-        universe = canonical_universe(n)
-        subsets = [s for s in _subset_lists(universe) if s]
-        carrier = Subset.full(universe)
-        for space in enum_spaces(n, universe):
-            for table in enum_tables(universe, carrier, allow_indet=False):
-                cong = is_congruence(space, table).holds
-                for x in subsets:
-                    for y in subsets:
-                        instances += 1
-                        rep = check_product_approx_laws(space, table, x, y)
-                        a_ok = rep.relation("a").holds
-                        eq_ok = a_ok and rep.relation("b").holds
-                        if cong:
-                            cong_instances += 1
-                            cong_a_failures += 0 if a_ok else 1
-                            cong_eq_failures += 0 if eq_ok else 1
-                        if not eq_ok:
-                            failures += 1
-                            if first is None:
-                                first = _space_descr(space)
-                                first.update({
-                                    "table": [[_cell_label(universe, v) for v in row]
-                                              for row in _rows(table)],
-                                    "X": list(x.labels()),
-                                    "Y": list(y.labels()),
-                                    "congruence": cong,
-                                })
-    return SuiteResult(
-        "P22", instances, failures, first,
-        extra=(
-            ("congruent_instances", cong_instances),
-            ("congruent_inclusion_failures", cong_a_failures),
-            ("congruent_equality_failures", cong_eq_failures),
-        ),
-    )
+    return _p22_suite(max_n, jobs=1)
 
 
-def composition_suite(prop: str, universe_size: int = 2, carrier_size: int = 2,
-                      allow_indet: bool = False) -> dict:
-    """Composite-kind check over every table and conforming mapping pair."""
-    universe = canonical_universe(universe_size)
-    checked = skipped = tables = 0
-    counterexamples: list[dict] = []
-    for combo in itertools.combinations(range(universe.size), carrier_size):
-        carrier = Subset.from_indices(universe, combo)
-        for table in enum_tables(universe, carrier, allow_indet):
-            tables += 1
-            maps = list(enum_mappings(carrier, carrier))
-            pairs = [(a, b) for a in maps for b in maps]
-            report = verify_composition_props(table, pairs, prop)
-            checked += report.checked
-            skipped += report.skipped
-            for ce in report.counterexamples:
-                counterexamples.append({
-                    "table": [[_cell_label(universe, v) for v in row] for row in _rows(table)],
-                    "phi1": [list(p) for p in ce.phi1.pairs()],
-                    "phi2": [list(p) for p in ce.phi2.pairs()],
-                    "pair": list(ce.pair),
-                })
-    return {
-        "prop": prop,
-        "tables": tables,
-        "instances": checked,
-        "skipped": skipped,
-        "counterexamples": counterexamples,
-    }
+def _p22_suite(max_n: int, jobs: int) -> SuiteResult:
+    instances, failures, first, extra = _sweep(_p22_count, (), _space_tasks(max_n), jobs)
+    if first is not None:
+        del first["failed"]
+    names = ("congruent_instances", "congruent_inclusion_failures", "congruent_equality_failures")
+    return SuiteResult("P22", instances, failures, first, extra=tuple(zip(names, extra)))
 
 
 def composition_suite_result(prop: str) -> SuiteResult:
-    rep = composition_suite(prop)
-    first = rep["counterexamples"][0] if rep["counterexamples"] else None
-    return SuiteResult(
-        "P41" if prop == "p41" else "P42",
-        rep["instances"],
-        len(rep["counterexamples"]),
-        first,
-        extra=(("tables", rep["tables"]), ("skipped_pairs", rep["skipped"])),
-    )
+    """Composite-kind check over every table and mapping pair on a
+    2-element carrier of a 2-element universe."""
+    return _composition_suite(prop, jobs=1)
+
+
+def _composition_suite(prop: str, jobs: int) -> SuiteResult:
+    carriers = _carriers(canonical_universe(2), 2)
+    instances, failures, first, _ = _sweep(_count, (_composition_stream, prop, False), carriers, jobs)
+    tables = len(carriers) * 2 ** 4  # two values in each of four cells
+    pairs = tables * 4 * 4  # four self-maps of the carrier
+    return SuiteResult(prop.upper(), instances, failures, first,
+                       extra=(("tables", tables), ("skipped_pairs", pairs - instances)))

@@ -10,8 +10,9 @@ indeterminate pairs never falsify but are always reported.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .approx import ApproxSpace, Subset, Universe, approximate
 from .algebra import INDET, OpTable, local_neutrals
@@ -294,23 +295,31 @@ def verify_composition_props(
     Candidate pairs whose per-pair behavior does not match the proposition's
     hypothesis (or that do not compose) are skipped, not errors.
     """
+    outcomes = list(_composition_outcomes(table, candidates, prop))
+    bad = tuple(o for o in outcomes if o is not None)
+    return CompositionReport(prop, len(outcomes), len(candidates) - len(outcomes), bad)
+
+
+def _composition_outcomes(table: OpTable, candidates: Iterable[tuple[Mapping, Mapping]],
+                          prop: str) -> Iterator[Optional[CompositionCounterexample]]:
+    """One item per checked pair, in candidate order: None when the composite
+    behaves as prop claims, else the counterexample.  Skipped pairs yield
+    nothing.  Each map's behavior is evaluated once per call."""
     if prop not in ("p41", "p42"):
         raise ValueError(f"prop must be p41 or p42, got {prop!r}")
-    checked = skipped = 0
-    bad = []
+    want2 = preserves_all if prop == "p41" else reverses_all
+    kind = "rough-anti-hom" if prop == "p41" else "hom"
+
+    @functools.cache
+    def behaves(test, phi: Mapping) -> bool:
+        return test(phi, table, table)
+
     for phi1, phi2 in candidates:
-        want2 = preserves_all if prop == "p41" else reverses_all
-        if not (reverses_all(phi1, table, table) and want2(phi2, table, table)):
-            skipped += 1
+        if not (behaves(reverses_all, phi1) and behaves(want2, phi2)):
             continue
         try:
             comp = compose(phi1, phi2)
         except DomainMismatchError:
-            skipped += 1
             continue
-        checked += 1
-        kind = "rough-anti-hom" if prop == "p41" else "hom"
         rep = _check(comp, table, table, kind)
-        if rep.counts.violated:
-            bad.append(CompositionCounterexample(phi1, phi2, rep.first_violation))
-    return CompositionReport(prop, checked, skipped, tuple(bad))
+        yield CompositionCounterexample(phi1, phi2, rep.first_violation) if rep.counts.violated else None

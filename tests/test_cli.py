@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import jsonschema
@@ -191,9 +192,26 @@ def test_byte_identical_runs(capsys, ras):
 def test_jobs_do_not_change_output(capsys):
     argv = ["search", "--universe-size", "2", "--carrier-size", "2",
             "--require", "C4=AllFalse", "--limit", "3"]
-    assert run(capsys, argv)[1] == run(capsys, ["--jobs", "3"] + argv)[1]
-    laws = ["laws", "--max-n", "3", "--law", "L4"]
-    assert run(capsys, laws)[1] == run(capsys, ["--jobs", "2"] + laws)[1]
+    assert run(capsys, argv)[1] == run(capsys, ["--jobs", "2"] + argv)[1]
+    for law in ("L4", "P22", "P41"):
+        laws = ["laws", "--max-n", "3", "--law", law]
+        assert run(capsys, laws)[1] == run(capsys, ["--jobs", "2"] + laws)[1]
+
+
+def test_jobs_bounded_before_any_pool(capsys, monkeypatch):
+    from roughalg import enumeration
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    laws = ["laws", "--max-n", "2", "--law", "L4"]
+    for bad in ("0", "-1", "two", str((os.cpu_count() or 1) + 1)):
+        for argv in (["--jobs", bad] + laws, laws + ["--jobs", bad]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
 
 
 def test_bad_require_syntax(capsys):

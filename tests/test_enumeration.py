@@ -198,6 +198,14 @@ def test_find_counterexample_budget_status():
     assert out.status == "budget" and out.examined == 7
 
 
+def test_find_counterexample_budget_counts_checked_pairs():
+    for law in ("P41", "P42"):
+        out = find_counterexample(law, SearchSpec(universe_size=2, carrier_size=2, budget=7))
+        assert out.status == "budget" and out.examined == 7
+    out = find_counterexample("P41", SearchSpec(universe_size=2, carrier_size=2))
+    assert out.status == "none" and out.examined == 60
+
+
 def test_approx_law_suite_counts():
     r = approx_law_suite("L5", 3)
     assert (r.instances, r.failures) == (356, 0)

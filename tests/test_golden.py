@@ -16,10 +16,12 @@ import dataclasses
 import hashlib
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
+
+from roughalg import SearchSpec, find_counterexample
+from roughalg.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -51,8 +53,6 @@ def _commands() -> list[list[str]]:
 
 
 def _stdout_digest(argv: list[str]) -> str:
-    from roughalg.cli import main
-
     resolved = [str(ROOT / a) if a == RAS else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -61,8 +61,6 @@ def _stdout_digest(argv: list[str]) -> str:
 
 
 def _find_outcome(law: str) -> dict:
-    from roughalg import SearchSpec, find_counterexample
-
     return dataclasses.asdict(find_counterexample(law, SearchSpec(universe_size=2,
                                                                   carrier_size=2)))
 
@@ -91,4 +89,3 @@ def _record() -> None:
 
 if __name__ == "__main__":
     _record()
-    sys.exit(0)
