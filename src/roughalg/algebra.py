@@ -22,10 +22,15 @@ indeterminate; buckets are counted and carry a least witness):
 
 Empty quantifier domains score vacuously: AllTrue for C1-C5, AllFalse for
 the anti-laws C6-C10 (so a one-element group is not anti-abelian).
+
+Each law is one private stream of bucket codes, one per instance in this
+order, over a table's raw cells and carrier positions.  `evaluate_law`
+tallies it; `_has_status`, for `search`, stops where the status is ruled out.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Literal, Mapping as TMapping, Optional
 
@@ -134,6 +139,7 @@ def make_table(
 
 
 Status = Literal["AllTrue", "AllFalse", "Mixed"]
+STATUSES: tuple[Status, ...] = ("AllTrue", "AllFalse", "Mixed")
 
 
 @dataclass(frozen=True)
@@ -158,56 +164,146 @@ class LawVerdict:
         return None
 
 
-def _verdict(law: str, buckets: dict[str, tuple[int, tuple[str, ...] | None]]) -> LawVerdict:
-    t, wt = buckets["true"]
-    f, wf = buckets["false"]
-    i, wi = buckets["indeterminate"]
+# Streams take (cells, k, order, pos), as held by OpTable, and yield these codes.
+_TRUE, _FALSE, _INDET = 0, 1, 2
+_BUCKETS = ("true", "false", "indeterminate")
+
+
+def _closure(cells, k, order, pos):
+    """C1: per ordered pair, the product lies in the carrier."""
+    for v in cells:
+        yield _INDET if v is INDET else (_TRUE if pos[v] >= 0 else _FALSE)
+
+
+def _associativity(cells, k, order, pos):
+    """C2: per ordered triple, (x*y)*z = x*(y*z)."""
+    for px in range(k):
+        row = px * k
+        for py in range(k):
+            xy = cells[row + py]
+            pxy = -1 if xy is INDET else pos[xy]
+            for pz in range(k):
+                left = INDET if pxy < 0 else cells[pxy * k + pz]
+                yz = cells[py * k + pz]
+                right = INDET if yz is INDET or pos[yz] < 0 else cells[row + pos[yz]]
+                if left is INDET or right is INDET:
+                    yield _INDET
+                else:
+                    yield _TRUE if left == right else _FALSE
+
+
+def _neutral_positions(cells, k, order, px: int) -> list[int]:
+    """Carrier positions e with x*e = e*x = x; INDET never matches."""
+    ix = order[px]
+    return [pe for pe in range(k) if cells[px * k + pe] == ix and cells[pe * k + px] == ix]
+
+
+def _neutrals(cells, k, order, pos):
+    """C3: per element x, x has a local neutral."""
+    for px in range(k):
+        yield _TRUE if _neutral_positions(cells, k, order, px) else _FALSE
+
+
+def _inverses(cells, k, order, pos):
+    """C4: per element x, some u hits a local neutral e of x from both sides."""
+    for px in range(k):
+        yield _TRUE if any(cells[px * k + pu] == order[pe] and cells[pu * k + px] == order[pe]
+                           for pe in _neutral_positions(cells, k, order, px)
+                           for pu in range(k)) else _FALSE
+
+
+def _commutativity(cells, k, order, pos):
+    """C5: per unordered pair x != y, x*y = y*x."""
+    for px in range(k):
+        for py in range(px + 1, k):
+            a, b = cells[px * k + py], cells[py * k + px]
+            yield _INDET if a is INDET or b is INDET else (_TRUE if a == b else _FALSE)
+
+
+def _identities(cells, k, order):
+    """Carrier positions of the two-sided identities of the whole carrier."""
+    for pe in range(k):
+        if all(cells[px * k + pe] == order[px] and cells[pe * k + px] == order[px]
+               for px in range(k)):
+            yield pe
+
+
+def _no_identity(cells, k, order, pos):
+    """C8: the one global instance, true when no identity exists."""
+    yield _TRUE if next(_identities(cells, k, order), None) is None else _FALSE
+
+
+def _no_inverses(cells, k, order, pos):
+    """C9: the one global instance, true when C4 fails for every element."""
+    yield _FALSE if _TRUE in _inverses(cells, k, order, pos) else _TRUE
+
+
+_NEGATE = (_FALSE, _TRUE, _INDET).__getitem__  # C6, C7, C10 negate C1, C2, C5 pointwise
+_STREAMS = {
+    "C1": _closure, "C2": _associativity, "C3": _neutrals, "C4": _inverses,
+    "C5": _commutativity, "C6": lambda *table: map(_NEGATE, _closure(*table)),
+    "C7": lambda *table: map(_NEGATE, _associativity(*table)), "C8": _no_identity,
+    "C9": _no_inverses, "C10": lambda *table: map(_NEGATE, _commutativity(*table)),
+}
+
+
+def _instance(law: str, cells, k: int, order, pos, i: int, code: int) -> tuple[int, ...]:
+    """Carrier positions of instance i, scored `code`; for C8/C9 the falsifying element."""
+    if law in ("C1", "C6"):
+        return divmod(i, k)
+    if law in ("C2", "C7"):
+        return (i // (k * k), i // k % k, i % k)
+    if law in ("C3", "C4"):
+        return (i,)
+    if law in ("C5", "C10"):
+        return next(itertools.islice(itertools.combinations(range(k), 2), i, None))
+    if code == _TRUE:
+        return ()
+    if law == "C8":
+        return (next(_identities(cells, k, order)),)
+    return (list(_inverses(cells, k, order, pos)).index(_TRUE),)
+
+
+def _status(law: str, t: int, f: int, i: int) -> Status:
     if t + f + i == 0:
-        status: Status = "AllFalse" if law in _ANTI_LAWS else "AllTrue"
-    elif f == 0 and i == 0:
-        status = "AllTrue"
-    elif t == 0 and i == 0:
-        status = "AllFalse"
-    else:
-        status = "Mixed"
-    wits = tuple(
-        (b, w)
-        for b, (n, w) in (("true", (t, wt)), ("false", (f, wf)), ("indeterminate", (i, wi)))
-        if n > 0 and w is not None
+        return "AllFalse" if law in _ANTI_LAWS else "AllTrue"
+    return "Mixed" if i or (t and f) else ("AllTrue" if t else "AllFalse")
+
+
+def _has_status(law: str, status: Status, cells, k: int, order, pos) -> bool:
+    """Whether evaluate_law would give `status`, reading the law's stream
+    only up to the first instance that rules it out."""
+    codes = _STREAMS[law](cells, k, order, pos)
+    first = next(codes, None)
+    if first is None:
+        return _status(law, 0, 0, 0) == status
+    if status == "Mixed":
+        return first == _INDET or any(code != first for code in codes)
+    return first == (_TRUE if status == "AllTrue" else _FALSE) and all(code == first for code in codes)
+
+
+def evaluate_law(table: OpTable, law: str) -> LawVerdict:
+    """Tri-valued verdict for one of C1..C10 with counts and witnesses."""
+    if law not in _STREAMS:
+        raise ValueError(f"unknown law {law!r}")
+    k, cells, order, pos = table.k, table.cells, table.order, table.pos
+    codes = list(_STREAMS[law](cells, k, order, pos))
+    counts = [codes.count(code) for code in (_TRUE, _FALSE, _INDET)]
+    labels = table.universe.labels
+    witnesses = tuple(
+        (_BUCKETS[code], tuple(labels[order[p]] for p in
+                               _instance(law, cells, k, order, pos, codes.index(code), code)))
+        for code in (_TRUE, _FALSE, _INDET) if counts[code]
     )
-    return LawVerdict(law, status, t, f, i, wits)
-
-
-def _tally(law: str, instances) -> LawVerdict:
-    """instances yields (bucket, instance-labels) pairs in canonical order."""
-    counts = {"true": 0, "false": 0, "indeterminate": 0}
-    first: dict[str, tuple[str, ...] | None] = {"true": None, "false": None, "indeterminate": None}
-    for bucket, inst in instances:
-        counts[bucket] += 1
-        if first[bucket] is None:
-            first[bucket] = inst
-    return _verdict(law, {b: (counts[b], first[b]) for b in counts})
+    return LawVerdict(law, _status(law, *counts), *counts, witnesses)
 
 
 def associativity_instance(table: OpTable, x: str, y: str, z: str) -> str:
     """Score one C2 triple: 'true', 'false' or 'indeterminate'."""
-    u = table.universe
-    return _assoc_positions(table, table.pos[u.index(x)], table.pos[u.index(y)], table.pos[u.index(z)])
-
-
-def _assoc_positions(table: OpTable, px: int, py: int, pz: int) -> str:
-    k, cells, pos = table.k, table.cells, table.pos
-    left = None
-    t = cells[px * k + py]
-    if t is not INDET and pos[t] >= 0:
-        left = cells[pos[t] * k + pz]
-    right = None
-    s = cells[py * k + pz]
-    if s is not INDET and pos[s] >= 0:
-        right = cells[px * k + pos[s]]
-    if left is INDET or right is INDET:
-        return "indeterminate"
-    return "true" if left == right else "false"
+    u, k = table.universe, table.k
+    px, py, pz = (table.pos[u.index(a)] for a in (x, y, z))
+    codes = _associativity(table.cells, k, table.order, table.pos)
+    return _BUCKETS[next(itertools.islice(codes, (px * k + py) * k + pz, None))]
 
 
 def local_neutrals(table: OpTable, x: str) -> Subset:
@@ -215,105 +311,8 @@ def local_neutrals(table: OpTable, x: str) -> Subset:
     ix = table.universe.index(x)
     if table.pos[ix] < 0:
         raise NotInCarrierError(f"{x!r} not in the carrier")
-    return Subset.from_indices(table.universe, _neutral_indices(table, table.pos[ix]))
-
-
-def _neutral_indices(table: OpTable, px: int) -> list[int]:
-    k, cells, order = table.k, table.cells, table.order
-    ix = order[px]
-    return [order[pe] for pe in range(k) if cells[px * k + pe] == ix and cells[pe * k + px] == ix]
-
-
-def _has_inverse(table: OpTable, px: int) -> bool:
-    k, cells, pos = table.k, table.cells, table.pos
-    for ie in _neutral_indices(table, px):
-        for pu in range(k):
-            if cells[px * k + pu] == ie and cells[pu * k + px] == ie:
-                return True
-    return False
-
-
-def evaluate_law(table: OpTable, law: str) -> LawVerdict:
-    """Tri-valued verdict for one of C1..C10 with counts and witnesses."""
-    u, k = table.universe, table.k
-    order, cells, pos = table.order, table.cells, table.pos
-    lab = u.labels
-    in_carrier = [pos[i] >= 0 for i in range(u.size)]
-
-    if law in ("C1", "C6"):
-        flip = law == "C6"
-
-        def pairs():
-            for px in range(k):
-                for py in range(k):
-                    v = cells[px * k + py]
-                    if v is INDET:
-                        b = "indeterminate"
-                    elif in_carrier[v]:
-                        b = "false" if flip else "true"
-                    else:
-                        b = "true" if flip else "false"
-                    yield b, (lab[order[px]], lab[order[py]])
-
-        return _tally(law, pairs())
-
-    if law in ("C2", "C7"):
-        flip = law == "C7"
-
-        def triples():
-            for px in range(k):
-                for py in range(k):
-                    for pz in range(k):
-                        b = _assoc_positions(table, px, py, pz)
-                        if flip and b != "indeterminate":
-                            b = "false" if b == "true" else "true"
-                        yield b, (lab[order[px]], lab[order[py]], lab[order[pz]])
-
-        return _tally(law, triples())
-
-    if law == "C3":
-        return _tally(law, (
-            ("true" if _neutral_indices(table, px) else "false", (lab[order[px]],))
-            for px in range(k)
-        ))
-
-    if law == "C4":
-        return _tally(law, (
-            ("true" if _has_inverse(table, px) else "false", (lab[order[px]],))
-            for px in range(k)
-        ))
-
-    if law in ("C5", "C10"):
-        flip = law == "C10"
-
-        def unordered():
-            for px in range(k):
-                for py in range(px + 1, k):
-                    a, b = cells[px * k + py], cells[py * k + px]
-                    if a is INDET or b is INDET:
-                        v = "indeterminate"
-                    elif a == b:
-                        v = "false" if flip else "true"
-                    else:
-                        v = "true" if flip else "false"
-                    yield v, (lab[order[px]], lab[order[py]])
-
-        return _tally(law, unordered())
-
-    if law == "C8":
-        for pe in range(k):
-            ok = all(cells[px * k + pe] == order[px] and cells[pe * k + px] == order[px] for px in range(k))
-            if ok:
-                return _tally(law, [("false", (lab[order[pe]],))])
-        return _tally(law, [("true", ())])
-
-    if law == "C9":
-        for px in range(k):
-            if _has_inverse(table, px):
-                return _tally(law, [("false", (lab[order[px]],))])
-        return _tally(law, [("true", ())])
-
-    raise ValueError(f"unknown law {law!r}")
+    neutrals = _neutral_positions(table.cells, table.k, table.order, table.pos[ix])
+    return Subset.from_indices(table.universe, [table.order[pe] for pe in neutrals])
 
 
 @dataclass(frozen=True)
@@ -347,16 +346,6 @@ class Classification:
         }
 
 
-def _global_identity(table: OpTable) -> Optional[int]:
-    """Two-sided identity for the whole carrier, if one exists."""
-    k, cells, order = table.k, table.cells, table.order
-    for pe in range(k):
-        if all(cells[px * k + pe] == order[px] and cells[pe * k + px] == order[px]
-               for px in range(k)):
-            return pe
-    return None
-
-
 def classify(table: OpTable) -> Classification:
     """Evaluate every law and derive the structure flags.
 
@@ -372,9 +361,9 @@ def classify(table: OpTable) -> Classification:
     is_semigroup = all_true("C1") and all_true("C2")
     is_group = False
     if is_semigroup:
-        pe = _global_identity(table)
+        k, cells, order = table.k, table.cells, table.order
+        pe = next(_identities(cells, k, order), None)
         if pe is not None:
-            k, cells, order = table.k, table.cells, table.order
             ie = order[pe]
             is_group = all(
                 any(cells[px * k + pu] == ie and cells[pu * k + px] == ie

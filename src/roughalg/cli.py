@@ -17,7 +17,7 @@ import traceback
 from typing import Optional
 
 from .approx import ApproxSpace, approximate, space_from_partition
-from .algebra import TABLE_LAWS, classify
+from .algebra import STATUSES, TABLE_LAWS, classify
 from .enumeration import SearchSpec, _composition_suite, _p22_suite, approx_law_suite, search
 from .errors import RoughAlgError
 from .fixtures import audit_paper, find_approx_claim
@@ -27,7 +27,6 @@ from .rough_structures import check_rough_anti_semigroup, check_rough_anti_subse
 from .scenario import ParseError, Scenario, parse_scenario
 
 LAW_SUITES = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P22", "P31", "P41", "P42")
-STATUSES = ("AllTrue", "AllFalse", "Mixed")
 
 
 class CliInputError(RoughAlgError):

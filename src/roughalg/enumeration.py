@@ -11,8 +11,12 @@ P31, `_p22_stream`, `_composition_stream` for P41/P42), yielding per
 instance a falsy item if it holds, else a callable that builds the witness.
 `_count` reduces a stream for the `laws` suites, `_first` for
 `find_counterexample` under a budget.  `_pmap` runs the slices, on worker
-processes when jobs > 1, and returns results in task order.  `search` maps
-`_scan` over index ranges the same way; `_scan` stops at the limit.
+processes when jobs > 1, and returns results in task order.
+
+`search` maps `_scan` over index ranges the same way.  Law constraints see
+only a candidate's (carrier, table) rest, so `_scan` checks each rest once,
+on raw cells, replays the passing ones across partitions, and returns hit
+indices, from which `search` builds the hits.
 
 Size caps: universes up to 6 elements, table carriers up to 4.
 """
@@ -35,7 +39,8 @@ from .approx import (
     make_universe,
     space_from_partition,
 )
-from .algebra import OpTable, _product_relations, evaluate_law, is_congruence
+from .algebra import (STATUSES, TABLE_LAWS, OpTable, _has_status, _product_relations,
+                      evaluate_law, is_congruence)  # noqa: F401 (bench/micro.py patches evaluate_law here)
 from .errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
 from .morphisms import Mapping, _composition_outcomes
 from .rough_structures import check_rough_anti_semigroup
@@ -114,18 +119,6 @@ def enum_tables(universe: Universe, carrier: Subset, allow_indet: bool = False) 
         yield OpTable.build(universe, carrier, cells)
 
 
-def _table_at(universe: Universe, carrier: Subset, allow_indet: bool, index: int) -> OpTable:
-    """Decode the index-th table of the enum_tables stream."""
-    vals = _table_values(universe, allow_indet)
-    v = len(vals)
-    k = len(carrier)
-    digits = [0] * (k * k)
-    for slot in range(k * k - 1, -1, -1):
-        index, d = divmod(index, v)
-        digits[slot] = d
-    return OpTable.build(universe, carrier, tuple(vals[d] for d in digits))
-
-
 def enum_mappings(domain: Subset, codomain: Subset, surjective_only: bool = False) -> Iterator[Mapping]:
     """All maps domain -> codomain in graph-lexicographic order."""
     if not domain or not codomain:
@@ -179,6 +172,11 @@ class SearchSpec:
             )
         if self.limit < 1 or self.budget < 1:
             raise SizeOutOfRangeError("limit and budget must be at least 1")
+        bad = [c for c in self.law_constraints if c[0] not in TABLE_LAWS or c[1] not in STATUSES]
+        bad += [c for c in self.structural_constraints if c not in STRUCTURAL_CONSTRAINTS]
+        if bad:
+            raise ValueError(f"unknown constraint {bad[0]!r}: laws are C1..C10, statuses "
+                             f"{'/'.join(STATUSES)}, structural {'/'.join(STRUCTURAL_CONSTRAINTS)}")
 
 
 def _struct_congruence(space: ApproxSpace, table: OpTable) -> bool:
@@ -222,29 +220,72 @@ def _search_fixture(spec: SearchSpec):
     return universe, spaces, _carriers(universe, spec.carrier_size), ntables
 
 
-def _candidate_matches(spec: SearchSpec, space: ApproxSpace, table: OpTable) -> bool:
-    for law, status in spec.law_constraints:
-        if evaluate_law(table, law).status != status:
-            return False
-    for name in spec.structural_constraints:
-        if not STRUCTURAL_CONSTRAINTS[name](space, table):
-            return False
-    return True
+def _rest_table(spec: SearchSpec, fixture, rest: int) -> OpTable:
+    """Decode a candidate's rest index: its carrier, then its enum_tables table."""
+    universe, _, carriers, ntables = fixture
+    cidx, tidx = divmod(rest, ntables)
+    vals, ncells = _table_values(universe, spec.allow_indet), spec.carrier_size ** 2
+    cells = (vals[tidx // len(vals) ** (ncells - 1 - slot) % len(vals)] for slot in range(ncells))
+    return OpTable.build(universe, carriers[cidx], tuple(cells))
 
 
-def _scan(spec: SearchSpec, start: int, end: int) -> list[SearchHit]:
-    """Hits among candidates start..end-1, stopping once spec.limit are held."""
-    universe, spaces, carriers, ntables = _search_fixture(spec)
+def _passing_rests(spec: SearchSpec, fixture, lo: int, hi: int) -> Iterator[int]:
+    """Rest indices (carrier, then table) in lo..hi-1 whose table meets every
+    law constraint, walking each carrier's tables in enum_tables order."""
+    universe, _, carriers, ntables = fixture
+    vals = _table_values(universe, spec.allow_indet)
+    for cidx in range(lo // ntables, -(-hi // ntables)):
+        order = tuple(carriers[cidx])
+        pos = [order.index(i) if i in order else -1 for i in range(universe.size)]
+        first = max(lo, cidx * ntables)
+        tables = itertools.product(vals, repeat=spec.carrier_size ** 2)
+        for rest, cells in zip(range(first, min(hi, (cidx + 1) * ntables)),
+                               itertools.islice(tables, first - cidx * ntables, None)):
+            if all(_has_status(law, status, cells, spec.carrier_size, order, pos)
+                   for law, status in spec.law_constraints):
+                yield rest
+
+
+def _law_hits(spec: SearchSpec, fixture, start: int, end: int) -> Iterator[int]:
+    """Candidate indices in start..end-1 that meet every law constraint, in order.
+
+    Law constraints see only an index's rest (carrier, then table), which
+    repeats every space: each rest is checked once, from the start on, then
+    in the next space those below it.  The passing offsets then repeat, so
+    they are kept only when the range is longer than one space."""
+    _, _, carriers, ntables = fixture
     per_space = len(carriers) * ntables
+    base = start - start % per_space
+    replay = end > start + per_space
+    offsets = []
+    for lo, hi, shift in ((start - base, per_space, base), (0, start - base, base + per_space)):
+        for rest in _passing_rests(spec, fixture, lo, min(hi, end - shift)):
+            if replay:
+                offsets.append(shift + rest - start)
+            yield shift + rest
+    for period in range(start + per_space, end, per_space):
+        for offset in offsets:
+            if period + offset >= end:
+                return
+            yield period + offset
+
+
+def _scan(spec: SearchSpec, start: int, end: int) -> list[int]:
+    """Indices of the hits among candidates start..end-1, stopping at spec.limit.
+    Only candidates that meet the law constraints get a table, for the structural ones."""
+    fixture = _search_fixture(spec)
+    _, spaces, carriers, ntables = fixture
     hits = []
-    for idx in range(start, end):
-        sidx, rest = divmod(idx, per_space)
-        cidx, tidx = divmod(rest, ntables)
-        table = _table_at(universe, carriers[cidx], spec.allow_indet, tidx)
-        if _candidate_matches(spec, spaces[sidx], table):
-            hits.append(SearchHit(idx, spaces[sidx], table))
-            if len(hits) == spec.limit:
-                break
+    for idx in _law_hits(spec, fixture, start, end):
+        if spec.structural_constraints:
+            sidx, rest = divmod(idx, len(carriers) * ntables)
+            table = _rest_table(spec, fixture, rest)
+            if not all(STRUCTURAL_CONSTRAINTS[name](spaces[sidx], table)
+                       for name in spec.structural_constraints):
+                continue
+        hits.append(idx)
+        if len(hits) == spec.limit:
+            break
     return hits
 
 
@@ -253,21 +294,22 @@ def search(spec: SearchSpec, jobs: int = 1) -> SearchOutcome:
 
     Output is independent of the worker count.
     """
-    universe, spaces, carriers, ntables = _search_fixture(spec)
-    total = len(spaces) * len(carriers) * ntables
+    fixture = _search_fixture(spec)
+    _, spaces, carriers, ntables = fixture
+    per_space = len(carriers) * ntables
+    total = len(spaces) * per_space
     end = min(total, spec.budget)
     # Each range holds at most `limit` hits and precedes the next range, so
     # the first `limit` hits of the concatenation are the global first.
     parts = _pmap(_scan, [(spec, r.start, r.stop) for r in _split(range(end), jobs)], jobs)
-    hits = [hit for part in parts for hit in part][: spec.limit]
+    indices = [idx for part in parts for idx in part][: spec.limit]
+    # hits that differ only in the partition share a table
+    tables = {rest: _rest_table(spec, fixture, rest) for rest in {i % per_space for i in indices}}
+    hits = [SearchHit(i, spaces[i // per_space], tables[i % per_space]) for i in indices]
     limit_reached = len(hits) == spec.limit
-    if limit_reached:
-        examined = hits[-1].index + 1
-    else:
-        examined = end
     return SearchOutcome(
         hits=tuple(hits),
-        examined=examined,
+        examined=indices[-1] + 1 if limit_reached else end,
         total=total,
         limit_reached=limit_reached,
         budget_exhausted=not limit_reached and end == spec.budget and spec.budget < total,

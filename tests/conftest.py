@@ -83,3 +83,84 @@ def table_dict(table) -> dict[tuple[str, str], str | None]:
             v = table.cells[px * table.k + py]
             out[(labs[ix], labs[iy])] = None if v is None else labs[v]
     return out
+
+
+def law_counts_oracle(table, law):
+    """Label-dict reimplementation of the instance semantics."""
+    d = table_dict(table)
+    carrier = list(table.carrier.labels())
+    t = f = i = 0
+
+    def bucket(kind):
+        nonlocal t, f, i
+        t += kind == "t"
+        f += kind == "f"
+        i += kind == "i"
+
+    def neutrals(x):
+        return [e for e in carrier if d[(x, e)] == x and d[(e, x)] == x]
+
+    def has_inverse(x):
+        return any(d[(x, u)] == e and d[(u, x)] == e
+                   for e in neutrals(x) for u in carrier)
+
+    if law in ("C1", "C6"):
+        for x in carrier:
+            for y in carrier:
+                v = d[(x, y)]
+                if v is None:
+                    bucket("i")
+                elif (v in carrier) != (law == "C6"):
+                    bucket("t")
+                else:
+                    bucket("f")
+    elif law in ("C2", "C7"):
+        for x in carrier:
+            for y in carrier:
+                for z in carrier:
+                    xy = d[(x, y)]
+                    left = d[(xy, z)] if xy in carrier else None
+                    yz = d[(y, z)]
+                    right = d[(x, yz)] if yz in carrier else None
+                    if left is None or right is None:
+                        bucket("i")
+                    elif (left == right) != (law == "C7"):
+                        bucket("t")
+                    else:
+                        bucket("f")
+    elif law == "C3":
+        for x in carrier:
+            bucket("t" if neutrals(x) else "f")
+    elif law == "C4":
+        for x in carrier:
+            bucket("t" if has_inverse(x) else "f")
+    elif law in ("C5", "C10"):
+        for a in range(len(carrier)):
+            for b in range(a + 1, len(carrier)):
+                x, y = carrier[a], carrier[b]
+                if d[(x, y)] is None or d[(y, x)] is None:
+                    bucket("i")
+                elif (d[(x, y)] == d[(y, x)]) != (law == "C10"):
+                    bucket("t")
+                else:
+                    bucket("f")
+    elif law == "C8":
+        ident = any(all(d[(x, e)] == x and d[(e, x)] == x for x in carrier)
+                    for e in carrier)
+        bucket("f" if ident else "t")
+    elif law == "C9":
+        bucket("f" if any(has_inverse(x) for x in carrier) else "t")
+    return (t, f, i)
+
+
+def status_oracle(law: str, counts: tuple[int, int, int]) -> str:
+    """Status from (true, false, indeterminate) counts; empty domains are
+    AllTrue for C1-C5 and AllFalse for the anti-laws C6-C10."""
+    t, f, i = counts
+    if t + f + i == 0:
+        return "AllFalse" if law in ("C6", "C7", "C8", "C9", "C10") else "AllTrue"
+    if f == i == 0:
+        return "AllTrue"
+    if t == i == 0:
+        return "AllFalse"
+    return "Mixed"

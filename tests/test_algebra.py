@@ -17,7 +17,7 @@ from roughalg import (
     make_universe,
     set_product,
 )
-from roughalg.algebra import OpTable, associativity_instance
+from roughalg.algebra import STATUSES, OpTable, _has_status, associativity_instance
 from roughalg.errors import (
     CarrierNotFullError,
     EmptyCarrierError,
@@ -28,7 +28,7 @@ from roughalg.errors import (
     UnknownResultLabelError,
 )
 
-from conftest import table_dict
+from conftest import law_counts_oracle, status_oracle, table_dict
 
 
 def trivial_table():
@@ -184,74 +184,6 @@ def test_anti_law_mirrors(table):
                 assert q.status == "AllTrue"
 
 
-def law_counts_oracle(table, law):
-    """Label-dict reimplementation of the instance semantics."""
-    d = table_dict(table)
-    carrier = list(table.carrier.labels())
-    t = f = i = 0
-
-    def bucket(kind):
-        nonlocal t, f, i
-        t += kind == "t"
-        f += kind == "f"
-        i += kind == "i"
-
-    def neutrals(x):
-        return [e for e in carrier if d[(x, e)] == x and d[(e, x)] == x]
-
-    def has_inverse(x):
-        return any(d[(x, u)] == e and d[(u, x)] == e
-                   for e in neutrals(x) for u in carrier)
-
-    if law in ("C1", "C6"):
-        for x in carrier:
-            for y in carrier:
-                v = d[(x, y)]
-                if v is None:
-                    bucket("i")
-                elif (v in carrier) != (law == "C6"):
-                    bucket("t")
-                else:
-                    bucket("f")
-    elif law in ("C2", "C7"):
-        for x in carrier:
-            for y in carrier:
-                for z in carrier:
-                    xy = d[(x, y)]
-                    left = d[(xy, z)] if xy in carrier else None
-                    yz = d[(y, z)]
-                    right = d[(x, yz)] if yz in carrier else None
-                    if left is None or right is None:
-                        bucket("i")
-                    elif (left == right) != (law == "C7"):
-                        bucket("t")
-                    else:
-                        bucket("f")
-    elif law == "C3":
-        for x in carrier:
-            bucket("t" if neutrals(x) else "f")
-    elif law == "C4":
-        for x in carrier:
-            bucket("t" if has_inverse(x) else "f")
-    elif law in ("C5", "C10"):
-        for a in range(len(carrier)):
-            for b in range(a + 1, len(carrier)):
-                x, y = carrier[a], carrier[b]
-                if d[(x, y)] is None or d[(y, x)] is None:
-                    bucket("i")
-                elif (d[(x, y)] == d[(y, x)]) != (law == "C10"):
-                    bucket("t")
-                else:
-                    bucket("f")
-    elif law == "C8":
-        ident = any(all(d[(x, e)] == x and d[(e, x)] == x for x in carrier)
-                    for e in carrier)
-        bucket("f" if ident else "t")
-    elif law == "C9":
-        bucket("f" if any(has_inverse(x) for x in carrier) else "t")
-    return (t, f, i)
-
-
 @settings(max_examples=150, deadline=None)
 @given(small_tables())
 def test_law_counts_match_independent_oracle(table):
@@ -366,3 +298,29 @@ def test_product_approx_laws_z4(z4):
 
     with pytest.raises(EmptySubsetError):
         check_product_approx_laws(space, table, Subset.empty(u), full)
+
+
+def _status_reducer_agrees(table):
+    args = (table.cells, table.k, table.order, table.pos)
+    for law in TABLE_LAWS:
+        status = evaluate_law(table, law).status
+        assert status == status_oracle(law, law_counts_oracle(table, law)), law
+        for asked in STATUSES:
+            assert _has_status(law, asked, *args) == (asked == status), (law, asked)
+
+
+def test_status_reducer_exhaustive_small():
+    # every table with indeterminate cells on every carrier of size 1 and 2
+    # (size 1 gives the empty C5/C10 domains) at n = 2 and n = 3
+    for n in (2, 3):
+        u = make_universe([str(i) for i in range(n)])
+        for k in (1, 2):
+            for carrier in itertools.combinations(range(n), k):
+                for cells in itertools.product([None, *range(n)], repeat=k * k):
+                    _status_reducer_agrees(OpTable.build(u, Subset.from_indices(u, carrier), cells))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tables())
+def test_status_reducer_matches_evaluate_law(table):
+    _status_reducer_agrees(table)

@@ -1,3 +1,6 @@
+import itertools
+import random
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -9,13 +12,23 @@ from roughalg import (
     classify,
     enum_mappings,
     enum_partitions,
+    enum_spaces,
     enum_tables,
     evaluate_law,
     find_counterexample,
     search,
 )
-from roughalg.enumeration import approx_law_suite, composition_suite_result, p22_suite
+from roughalg.algebra import STATUSES, TABLE_LAWS
+from roughalg.enumeration import (
+    STRUCTURAL_CONSTRAINTS,
+    _scan,
+    approx_law_suite,
+    composition_suite_result,
+    p22_suite,
+)
 from roughalg.errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
+
+from conftest import law_counts_oracle, status_oracle
 
 
 def bell_oracle(n: int) -> int:
@@ -152,6 +165,16 @@ def test_spec_validation():
         SearchSpec(universe_size=2, carrier_size=2, limit=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"law_constraints": (("C4", "Allfalse"),)},       # misspelt status
+    {"law_constraints": (("C11", "AllTrue"),)},       # unknown law
+    {"structural_constraints": ("congruent",)},       # unknown structural name
+])
+def test_spec_rejects_constraints_that_never_match(kwargs):
+    with pytest.raises(ValueError):
+        SearchSpec(universe_size=2, carrier_size=2, **kwargs)
+
+
 def test_structural_constraint_registry():
     # congruence: every table on a 2-universe is compatible with both of
     # its (trivial) partitions, so constraining changes nothing at n=2
@@ -246,3 +269,112 @@ def test_find_counterexample_witness_is_suite_first_failure():
         suite = composition_suite_result(law.lower())
         out = find_counterexample(law, SearchSpec(universe_size=2, carrier_size=2))
         assert out.witness == suite.first_failure
+
+
+# Staged search against a naive oracle: every candidate decoded on its own
+# in canonical order (partition, carrier, table) and scored by the
+# label-dict law oracle.
+
+
+@lru_cache(maxsize=None)
+def _oracle_candidates(n: int, k: int, allow_indet: bool):
+    """(space, table, {law: status}) for every candidate, in index order."""
+    u = canonical_universe(n)
+    out = []
+    statuses = {}
+    for space in enum_spaces(n, u):
+        for carrier in itertools.combinations(range(n), k):
+            for table in enum_tables(u, Subset.from_indices(u, carrier), allow_indet):
+                key = (carrier, table.cells)
+                if key not in statuses:
+                    statuses[key] = {law: status_oracle(law, law_counts_oracle(table, law))
+                                     for law in TABLE_LAWS}
+                out.append((space, table, statuses[key]))
+    return out
+
+
+def _oracle_hits(spec: SearchSpec, start: int, end: int) -> list[int]:
+    hits = []
+    cands = _oracle_candidates(spec.universe_size, spec.carrier_size, spec.allow_indet)
+    for idx in range(start, min(end, len(cands))):
+        space, table, status = cands[idx]
+        if all(status[law] == want for law, want in spec.law_constraints) and \
+                all(STRUCTURAL_CONSTRAINTS[name](space, table) for name in spec.structural_constraints):
+            hits.append(idx)
+            if len(hits) == spec.limit:
+                break
+    return hits
+
+
+def _assert_matches_oracle(spec: SearchSpec, jobs: int = 1):
+    total = len(_oracle_candidates(spec.universe_size, spec.carrier_size, spec.allow_indet))
+    expect = _oracle_hits(spec, 0, spec.budget)
+    out = search(spec, jobs=jobs)
+    assert [h.index for h in out.hits] == expect
+    cands = _oracle_candidates(spec.universe_size, spec.carrier_size, spec.allow_indet)
+    assert all((h.space, h.table) == cands[h.index][:2] for h in out.hits)
+    limit_reached = len(expect) == spec.limit
+    assert out.total == total and out.limit_reached == limit_reached
+    assert out.examined == (expect[-1] + 1 if limit_reached else min(total, spec.budget))
+    assert out.budget_exhausted == (not limit_reached and spec.budget < total)
+
+
+SMALL_SIZES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("allow_indet", [False, True])
+@pytest.mark.parametrize("n,k", SMALL_SIZES)
+def test_search_every_law_status_matches_oracle(n, k, allow_indet):
+    for law in TABLE_LAWS:
+        for status in STATUSES:
+            _assert_matches_oracle(SearchSpec(n, k, allow_indet, ((law, status),),
+                                              limit=10**6, budget=10**6))
+
+
+def _random_spec(rng: random.Random) -> SearchSpec:
+    n, k = rng.choice(SMALL_SIZES[2:])
+    allow_indet = rng.random() < 0.5
+    laws = rng.sample(TABLE_LAWS, rng.randint(0, 3))
+    total = len(_oracle_candidates(n, k, allow_indet))
+    return SearchSpec(
+        n, k, allow_indet,
+        law_constraints=tuple((law, rng.choice(STATUSES)) for law in laws),
+        structural_constraints=tuple(rng.sample(sorted(STRUCTURAL_CONSTRAINTS), rng.randint(0, 2))),
+        limit=rng.choice([1, 3, 40, 10**6]),
+        budget=rng.choice([1, rng.randint(1, total), total, 10**6]),
+    )
+
+
+def test_search_random_specs_match_oracle():
+    rng = random.Random(4)
+    for _ in range(60):
+        _assert_matches_oracle(_random_spec(rng))
+
+
+def test_scan_ranges_match_oracle():
+    # ranges that start and end anywhere, mid-space included, and wrap
+    # through one or more further spaces
+    rng = random.Random(5)
+    for _ in range(60):
+        spec = _random_spec(rng)
+        total = len(_oracle_candidates(spec.universe_size, spec.carrier_size, spec.allow_indet))
+        start = rng.randrange(total)
+        end = rng.randint(start + 1, total)
+        assert _scan(spec, start, end) == _oracle_hits(spec, start, end)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_parallel_search_matches_oracle(jobs):
+    # n=3, k=2: 243 candidates per space.  A budget of 1,000 splits at 500
+    # (jobs 2) or 334 and 668 (jobs 3), all mid-space, so the later ranges
+    # start inside one partition and wrap into the next.
+    assert all(b % 243 for b in (500, 334, 668))
+    specs = [
+        SearchSpec(3, 2, law_constraints=(("C4", "AllFalse"),), limit=10**6, budget=1000),
+        SearchSpec(3, 2, law_constraints=(("C1", "Mixed"), ("C3", "AllFalse")),
+                   structural_constraints=("rough-carrier",), limit=10**6, budget=1000),
+        SearchSpec(3, 2, True, (("C5", "AllTrue"),), limit=25, budget=10**6),
+        SearchSpec(3, 2, law_constraints=(("C10", "AllTrue"),), limit=1, budget=1000),
+    ]
+    for spec in specs:
+        _assert_matches_oracle(spec, jobs)
