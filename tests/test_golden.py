@@ -36,6 +36,10 @@ FULL = ["--limit", "1000000", "--budget", "1000000"]
 
 def _commands() -> list[list[str]]:
     base = [["laws", "--max-n", "3", "--law", law] for law in LAWS]
+    # the sweep size rule: at --max-n 1 P22 runs at n = 1 and P41/P42 stay
+    # at n = 2; at --max-n 6 P22 is capped at n = 2
+    base += [["laws", "--max-n", "1", "--law", law] for law in LAWS]
+    base += [["laws", "--max-n", "6", "--law", law] for law in ("P22", "P41", "P42")]
     for n in ("2", "3"):
         scan = ["search", "--universe-size", n, "--carrier-size", "2",
                 "--require", "C4=AllFalse"]
