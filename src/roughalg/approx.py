@@ -231,18 +231,15 @@ class ApproxResult:
 
 
 def approximate(space: ApproxSpace, x: Subset) -> ApproxResult:
-    """Lower = {x : [x] inside X}, upper = {x : [x] meets X}, per element."""
+    """Lower = the union of the blocks inside X, upper = of the blocks meeting X."""
     if x.universe != space.universe:
         raise UniverseMismatchError("subset not over the space's universe")
-    lower = 0
-    upper = 0
-    block_masks = [b.mask for b in space.partition.blocks]
-    for i in range(space.universe.size):
-        bm = block_masks[space.class_of[i]]
-        if bm & ~x.mask == 0:
-            lower |= 1 << i
-        if bm & x.mask:
-            upper |= 1 << i
+    lower = upper = 0
+    for block in space.partition.blocks:
+        if block.mask & x.mask:
+            upper |= block.mask
+            if block.mask & ~x.mask == 0:
+                lower |= block.mask
     lo = Subset(space.universe, lower)
     up = Subset(space.universe, upper)
     boundary = Subset(space.universe, upper & ~lower)

@@ -17,17 +17,14 @@ import traceback
 from typing import Optional
 
 from .approx import ApproxSpace, approximate, space_from_partition
-from .algebra import STATUSES, TABLE_LAWS, classify
-from .enumeration import SearchSpec, _composition_suite, _p22_suite, approx_law_suite, search
+from .algebra import TABLE_LAWS, classify
+from .enumeration import COUNTEREXAMPLE_LAWS, SearchSpec, law_suite, search
 from .errors import RoughAlgError
 from .fixtures import audit_paper, find_approx_claim
 from .morphisms import check_anti_group_hom, check_hom, check_rough_hom
 from .report import classification_json, partition_json, subset_json, table_json
 from .rough_structures import check_rough_anti_semigroup, check_rough_anti_subsemigroup
 from .scenario import ParseError, Scenario, parse_scenario
-
-LAW_SUITES = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P22", "P31", "P41", "P42")
-
 
 class CliInputError(RoughAlgError):
     """Bad file contents or references; maps to exit code 2."""
@@ -102,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("laws", parents=[common], help="exhaustive law suites")
     sp.add_argument("--max-n", type=int, default=4, choices=range(1, 7), metavar="N",
-                    help="universe size ceiling for L1-L9 and P31 (P22/P41/P42 cap at 2)")
-    sp.add_argument("--law", default=None, choices=LAW_SUITES)
+                    help="universe size ceiling for L1-L9 and P31 (P22 caps at 2; P41/P42 run at 2)")
+    sp.add_argument("--law", default=None, choices=COUNTEREXAMPLE_LAWS)
 
     sp = sub.add_parser("search", parents=[common], help="scan tables for law profiles")
     sp.add_argument("--universe-size", type=int, required=True, metavar="N")
@@ -320,17 +317,9 @@ def _cmd_check_morphism(args) -> tuple[dict, list[str], bool]:
     return report, text, not rep.overall
 
 
-def _run_suite(law: str, max_n: int, jobs: int):
-    if law == "P22":
-        return _p22_suite(min(max_n, 2), jobs)
-    if law in ("P41", "P42"):
-        return _composition_suite(law.lower(), jobs)
-    return approx_law_suite(law, max_n, jobs)
-
-
 def _cmd_laws(args) -> tuple[dict, list[str], bool]:
-    selected = [args.law] if args.law else list(LAW_SUITES)
-    suites = [_run_suite(law, args.max_n, args.jobs) for law in selected]
+    selected = [args.law] if args.law else COUNTEREXAMPLE_LAWS
+    suites = [law_suite(law, args.max_n, args.jobs) for law in selected]
     report = {
         "kind": "laws",
         "max_n": args.max_n,
@@ -356,38 +345,27 @@ def _cmd_laws(args) -> tuple[dict, list[str], bool]:
     return report, text, failed
 
 
-def _parse_requirements(raw: list[str]) -> tuple[tuple[str, str], ...]:
-    out = []
-    for item in raw:
-        law, sep, status = item.partition("=")
-        if not sep or law not in TABLE_LAWS or status not in STATUSES:
-            raise CliInputError(
-                f"bad --require {item!r}; use LAW=STATUS with LAW in C1..C10 "
-                f"and STATUS in {'/'.join(STATUSES)}")
-        out.append((law, status))
-    return tuple(out)
-
-
 def _cmd_search(args) -> tuple[dict, list[str], bool]:
-    spec = SearchSpec(
-        universe_size=args.universe_size,
-        carrier_size=args.carrier_size,
-        law_constraints=_parse_requirements(args.require),
-        limit=args.limit,
-        budget=args.budget,
-    )
+    # (LAW, STATUS) from each LAW=STATUS; SearchSpec rejects unknown names
+    requirements = tuple(item.partition("=")[::2] for item in args.require)
+    try:
+        spec = SearchSpec(
+            universe_size=args.universe_size,
+            carrier_size=args.carrier_size,
+            law_constraints=requirements,
+            limit=args.limit,
+            budget=args.budget,
+        )
+    except ValueError as e:
+        raise CliInputError(f"bad --require, use LAW=STATUS: {e}") from e
     outcome = search(spec, jobs=args.jobs)
     hits_json = []
     text = []
     for hit in outcome.hits:
-        tj = table_json(hit.table)
-        hits_json.append({
-            "index": hit.index,
-            "partition": partition_json(hit.space.partition),
-            "table": tj,
-        })
+        pj, tj = partition_json(hit.space.partition), table_json(hit.table)
+        hits_json.append({"index": hit.index, "partition": pj, "table": tj})
         text.append(f"hit (index {hit.index}):")
-        text.append("  partition: " + " ".join(repr(b) for b in hit.space.partition.blocks))
+        text.append("  partition: " + " ".join("{" + " ".join(b) + "}" for b in pj))
         text.append("  carrier: {" + " ".join(tj["carrier"]) + "}")
         for lab, row in zip(tj["carrier"], tj["rows"]):
             text.append(f"    {lab} : " + " ".join(row))
@@ -399,7 +377,7 @@ def _cmd_search(args) -> tuple[dict, list[str], bool]:
         "kind": "search",
         "universe_size": args.universe_size,
         "carrier_size": args.carrier_size,
-        "requirements": [list(r) for r in _parse_requirements(args.require)],
+        "requirements": [list(r) for r in requirements],
         "limit": args.limit,
         "budget": args.budget,
         "hits": hits_json,

@@ -9,7 +9,8 @@ A law sweep is stream -> reducer -> `_pmap`.  Each law family has one
 instance stream over a slice of its tasks (`_approx_stream` for L1-L9 and
 P31, `_p22_stream`, `_composition_stream` for P41/P42), yielding per
 instance a falsy item if it holds, else a callable that builds the witness.
-`_count` reduces a stream for the `laws` suites, `_first` for
+`_law_stream` maps each law of COUNTEREXAMPLE_LAWS to its stream and tasks.
+`_count` reduces a stream for `law_suite`, `_first` for
 `find_counterexample` under a budget.  `_pmap` runs the slices, on worker
 processes when jobs > 1, and returns results in task order.
 
@@ -43,6 +44,7 @@ from .algebra import (STATUSES, TABLE_LAWS, OpTable, _has_status, _product_relat
                       evaluate_law, is_congruence)  # noqa: F401 (bench/micro.py patches evaluate_law here)
 from .errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
 from .morphisms import Mapping, _composition_outcomes
+from .report import partition_json, table_json
 from .rough_structures import check_rough_anti_semigroup
 
 MAX_UNIVERSE = 6
@@ -337,16 +339,7 @@ def _task_spaces(tasks: list[tuple[int, int]]):
 
 
 def _space_descr(space: ApproxSpace) -> dict:
-    return {
-        "universe": list(space.universe.labels),
-        "partition": [list(b.labels()) for b in space.partition.blocks],
-    }
-
-
-def _table_labels(table: OpTable) -> list[list[str]]:
-    k = table.k
-    labels = ["?" if v is None else table.universe.labels[v] for v in table.cells]
-    return [labels[r * k:(r + 1) * k] for r in range(k)]
+    return {"universe": list(space.universe.labels), "partition": partition_json(space.partition)}
 
 
 def _l_or_p31_fails(law: str, space, x, y) -> tuple[bool, str | None]:
@@ -375,14 +368,15 @@ def _approx_stream(law: str, tasks: list[tuple[int, int]]):
 
 def _p22_witness(space: ApproxSpace, table: OpTable, x: Subset, y: Subset,
                  failed: list[str], cong: bool) -> dict:
-    return {**_space_descr(space), "table": _table_labels(table), "X": list(x.labels()),
+    return {**_space_descr(space), "table": table_json(table)["rows"], "X": list(x.labels()),
             "Y": list(y.labels()), "failed": failed, "congruence": cong}
 
 
-def _p22_stream(tasks: list[tuple[int, int]], tally: list[int]):
+def _p22_stream(tasks: list[tuple[int, int]]):
     """Relations (a) and (b) over every total table on each task's universe
-    and every pair of nonempty subsets.  Adds the congruent instances to
-    tally as [instances, inclusion (a) failures, equality failures]."""
+    and every pair of nonempty subsets.  Returns the congruent instances
+    and their failures of inclusion (a), a theorem there, and of the equality."""
+    congruent = inclusion = equality = 0
     for universe, space, subsets in _task_spaces(tasks):
         nonempty = subsets[1:]
         for table in enum_tables(universe, Subset.full(universe)):
@@ -392,14 +386,16 @@ def _p22_stream(tasks: list[tuple[int, int]], tally: list[int]):
                     rels = _product_relations(space, table, x, y)
                     failed = [r.relation for r in rels[:2] if not r.holds]
                     if cong:
-                        tally[0] += 1
-                        tally[1] += not rels[0].holds
-                        tally[2] += bool(failed)
+                        congruent += 1
+                        inclusion += not rels[0].holds
+                        equality += bool(failed)
                     yield failed and partial(_p22_witness, space, table, x, y, failed, cong)
+    return {"congruent_instances": congruent, "congruent_inclusion_failures": inclusion,
+            "congruent_equality_failures": equality}
 
 
 def _composition_witness(table: OpTable, ce) -> dict:
-    return {"table": _table_labels(table), "phi1": [list(p) for p in ce.phi1.pairs()],
+    return {"table": table_json(table)["rows"], "phi1": [list(p) for p in ce.phi1.pairs()],
             "phi2": [list(p) for p in ce.phi2.pairs()], "pair": list(ce.pair)}
 
 
@@ -411,6 +407,25 @@ def _composition_stream(prop: str, allow_indet: bool, carriers: list[Subset]):
         for table in enum_tables(carrier.universe, carrier, allow_indet):
             for ce in _composition_outcomes(table, pairs, prop):
                 yield ce and partial(_composition_witness, table, ce)
+
+
+# the law table
+
+COUNTEREXAMPLE_LAWS = (
+    "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P22", "P31", "P41", "P42",
+)
+
+
+def _law_stream(law: str, n: int, k: int, allow_indet: bool = False) -> tuple[Callable, list]:
+    """The law's instance stream, as a function of a slice of its tasks, and
+    its tasks at universe size n: every space with up to n elements, or for
+    P41/P42 every k-element carrier of the n-element universe."""
+    if law not in COUNTEREXAMPLE_LAWS:
+        raise ValueError(f"no registered relation named {law!r}")
+    if law in ("P41", "P42"):
+        carriers = _carriers(canonical_universe(n), k)
+        return partial(_composition_stream, law.lower(), allow_indet), carriers
+    return (_p22_stream if law == "P22" else partial(_approx_stream, law)), _space_tasks(n)
 
 
 # reducers
@@ -428,41 +443,28 @@ def _first(stream, budget: int) -> tuple[str, dict | None, int]:
     return "none", None, examined
 
 
-def _count(stream_fn: Callable, *args) -> tuple[int, int, dict | None]:
-    """(instances, failures, first witness) over all of stream_fn(*args).
+def _count(stream_fn: Callable, tasks: list) -> tuple[int, int, dict | None, dict]:
+    """(instances, failures, first witness, extra counts) over stream_fn(tasks);
+    the extra counts are what the stream returns, if anything.
 
-    Takes the stream's function and arguments, not the stream, so that
-    `_pmap` can send it to a worker process."""
+    Takes the stream's function and tasks, not the stream, so that `_pmap`
+    can send it to a worker process."""
     instances = failures = 0
     first = None
-    for item in stream_fn(*args):
+    stream = stream_fn(tasks)
+    while True:
+        try:
+            item = next(stream)
+        except StopIteration as end:
+            return instances, failures, first, end.value or {}
         instances += 1
         if item:
             failures += 1
             if first is None:
                 first = item()
-    return instances, failures, first
-
-
-def _p22_count(tasks: list[tuple[int, int]]) -> tuple:
-    tally = [0, 0, 0]
-    return (*_count(_p22_stream, tasks, tally), *tally)
-
-
-def _sweep(chunk_fn: Callable, args: tuple, tasks: Sequence, jobs: int):
-    """chunk_fn(*args, part) over at most `jobs` slices of tasks, merged in
-    task order into (instances, failures, first witness, summed extra counts)."""
-    parts = _pmap(chunk_fn, [(*args, part) for part in _split(tasks, jobs)], jobs)
-    first = next((p[2] for p in parts if p[2] is not None), None)
-    extra = [sum(col) for col in zip(*(p[3:] for p in parts))]
-    return sum(p[0] for p in parts), sum(p[1] for p in parts), first, extra
 
 
 # counterexample mining and exhaustive suites
-
-COUNTEREXAMPLE_LAWS = (
-    "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P22", "P31", "P41", "P42",
-)
 
 
 @dataclass(frozen=True)
@@ -480,20 +482,9 @@ def find_counterexample(law: str, bounds: SearchSpec) -> FindOutcome:
     law's suite counts as instances: subset pairs, or checked mapping pairs
     for P41 and P42.
     """
-    if law not in COUNTEREXAMPLE_LAWS:
-        raise ValueError(f"no registered relation named {law!r}")
-    n = bounds.universe_size
-    if law in ("P41", "P42"):
-        carriers = _carriers(canonical_universe(n), bounds.carrier_size)
-        stream = _composition_stream(law.lower(), bounds.allow_indet, carriers)
-    elif law == "P22":
-        stream = _p22_stream(_space_tasks(n), [0, 0, 0])
-    else:
-        stream = _approx_stream(law, _space_tasks(n))
-    return FindOutcome(law, *_first(stream, bounds.budget))
-
-
-# suite drivers behind the CLI laws command
+    stream_fn, tasks = _law_stream(law, bounds.universe_size, bounds.carrier_size,
+                                   bounds.allow_indet)
+    return FindOutcome(law, *_first(stream_fn(tasks), bounds.budget))
 
 
 @dataclass(frozen=True)
@@ -505,41 +496,26 @@ class SuiteResult:
     extra: tuple[tuple[str, int], ...] = ()
 
 
-def approx_law_suite(law: str, max_n: int, jobs: int = 1) -> SuiteResult:
-    """Exhaustive sweep of one of L1..L9 or P31 over all spaces with n <= max_n."""
+def law_suite(law: str, max_n: int, jobs: int = 1) -> SuiteResult:
+    """Exhaustive sweep of one law at its sweep size n, on up to `jobs`
+    worker processes; the result does not depend on jobs.
+
+    L1-L9 and P31 check every pair of subsets of every space with up to n
+    elements, P22 also every total table on its universe, and P41/P42 every
+    table and pair of self-maps on the n-element universe.
+    """
     if not 1 <= max_n <= MAX_UNIVERSE:
         raise SizeOutOfRangeError(f"max_n must be 1..{MAX_UNIVERSE}")
-    instances, failures, first, _ = _sweep(_count, (_approx_stream, law), _space_tasks(max_n), jobs)
-    return SuiteResult(law, instances, failures, first)
-
-
-def p22_suite(max_n: int) -> SuiteResult:
-    """Product-approximation relations over every total table and partition.
-
-    Counts failures of the upper-product equality overall and restricted to
-    congruent instances, where inclusion (a) is a theorem.
-    """
-    return _p22_suite(max_n, jobs=1)
-
-
-def _p22_suite(max_n: int, jobs: int) -> SuiteResult:
-    instances, failures, first, extra = _sweep(_p22_count, (), _space_tasks(max_n), jobs)
-    if first is not None:
+    n = {"P22": min(max_n, 2), "P41": 2, "P42": 2}.get(law, max_n)  # the law's sweep size
+    stream_fn, tasks = _law_stream(law, n, n)
+    parts = _pmap(_count, [(stream_fn, part) for part in _split(tasks, jobs)], jobs)
+    instances = sum(p[0] for p in parts)
+    failures = sum(p[1] for p in parts)
+    first = next((p[2] for p in parts if p[2] is not None), None)
+    extra = {name: sum(p[3][name] for p in parts) for name in parts[0][3]}
+    if law == "P22" and first is not None:
         del first["failed"]
-    names = ("congruent_instances", "congruent_inclusion_failures", "congruent_equality_failures")
-    return SuiteResult("P22", instances, failures, first, extra=tuple(zip(names, extra)))
-
-
-def composition_suite_result(prop: str) -> SuiteResult:
-    """Composite-kind check over every table and mapping pair on a
-    2-element carrier of a 2-element universe."""
-    return _composition_suite(prop, jobs=1)
-
-
-def _composition_suite(prop: str, jobs: int) -> SuiteResult:
-    carriers = _carriers(canonical_universe(2), 2)
-    instances, failures, first, _ = _sweep(_count, (_composition_stream, prop, False), carriers, jobs)
-    tables = len(carriers) * 2 ** 4  # two values in each of four cells
-    pairs = tables * 4 * 4  # four self-maps of the carrier
-    return SuiteResult(prop.upper(), instances, failures, first,
-                       extra=(("tables", tables), ("skipped_pairs", pairs - instances)))
+    if law in ("P41", "P42"):  # n ** (n * n) tables, each with (n ** n) ** 2 map pairs
+        tables = len(tasks) * n ** (n * n)
+        extra = {"tables": tables, "skipped_pairs": tables * n ** (2 * n) - instances}
+    return SuiteResult(law, instances, failures, first, tuple(extra.items()))

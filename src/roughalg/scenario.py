@@ -24,6 +24,7 @@ from .approx import Partition, Subset, Universe, make_partition, make_universe
 from .algebra import INDET, OpTable, make_table
 from .errors import RoughAlgError
 from .morphisms import Mapping, make_mapping
+from .report import table_json
 
 
 class ParseError(RoughAlgError):
@@ -430,16 +431,11 @@ def serialize_scenario(s: Scenario) -> str:
         lines.append(f"set {name} on {d.universe_name} = {inner}")
     for name in sorted(s.tables):
         d = s.tables[name]
-        t = d.table
-        labs = t.universe.labels
-        carrier = " ".join(labs[i] for i in t.order)
+        tj = table_json(d.table)
+        carrier = " ".join(tj["carrier"])
         lines.append(f"table {name} on {d.universe_name} carrier {{ {carrier} }} = {{")
-        for r in range(t.k):
-            cells = " ".join(
-                "?" if t.cells[r * t.k + c] is INDET else labs[t.cells[r * t.k + c]]
-                for c in range(t.k)
-            )
-            lines.append(f"  {labs[t.order[r]]} : {cells}")
+        for lab, row in zip(tj["carrier"], tj["rows"]):
+            lines.append(f"  {lab} : {' '.join(row)}")
         lines.append("}")
     for name in sorted(s.mappings):
         d = s.mappings[name]

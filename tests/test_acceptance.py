@@ -30,7 +30,7 @@ from roughalg import (
     canonical_universe,
 )
 from roughalg.algebra import associativity_instance
-from roughalg.enumeration import composition_suite_result
+from roughalg.enumeration import law_suite
 from roughalg.scenario import ParseError, Scenario
 
 from conftest import blocks_from_rgs, naive_approx, random_rgs
@@ -156,8 +156,8 @@ def test_criterion_07_p31_minimal_counterexample():
 def test_criterion_08_composition_propositions():
     with criterion(8, "composition sweeps at size 2 find zero counterexamples, < 30 s"):
         started = time.monotonic()
-        for prop in ("p41", "p42"):
-            r = composition_suite_result(prop)
+        for law in ("P41", "P42"):
+            r = law_suite(law, 2)
             assert r.failures == 0
             assert r.instances > 0
             assert dict(r.extra)["tables"] == 16

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from pathlib import Path
@@ -6,7 +7,8 @@ import jsonschema
 import pytest
 
 from roughalg import EXAMPLE31_RAS
-from roughalg.cli import main
+from roughalg.cli import build_parser, main
+from roughalg.enumeration import COUNTEREXAMPLE_LAWS
 from roughalg.report import REPORT_SCHEMA
 
 
@@ -126,6 +128,13 @@ def test_laws_default_runs_every_suite(capsys):
     for law in ("L1", "L9", "P22", "P31", "P41", "P42"):
         assert f"{law}:" in out
     assert "P41: 0 failures" in out and "P42: 0 failures" in out
+
+
+def test_laws_choices_are_the_library_laws():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    law = next(a for a in sub.choices["laws"]._actions if a.dest == "law")
+    assert tuple(law.choices) == COUNTEREXAMPLE_LAWS
 
 
 def test_approx_note_absent_off_fixture(capsys, tmp_path):

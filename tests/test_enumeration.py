@@ -19,13 +19,7 @@ from roughalg import (
     search,
 )
 from roughalg.algebra import STATUSES, TABLE_LAWS
-from roughalg.enumeration import (
-    STRUCTURAL_CONSTRAINTS,
-    _scan,
-    approx_law_suite,
-    composition_suite_result,
-    p22_suite,
-)
+from roughalg.enumeration import COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, _scan, law_suite
 from roughalg.errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
 
 from conftest import law_counts_oracle, status_oracle
@@ -230,17 +224,17 @@ def test_find_counterexample_budget_counts_checked_pairs():
 
 
 def test_approx_law_suite_counts():
-    r = approx_law_suite("L5", 3)
+    r = law_suite("L5", 3)
     assert (r.instances, r.failures) == (356, 0)
-    assert approx_law_suite("L5", 3, jobs=2) == r
+    assert law_suite("L5", 3, jobs=2) == r
 
-    p31 = approx_law_suite("P31", 2)
+    p31 = law_suite("P31", 2)
     assert p31.instances == 36 and p31.failures == 2
     assert p31.first_failure["A"] == ["1"] and p31.first_failure["B"] == ["2"]
 
 
 def test_p22_suite_relation_a_holds_under_congruence():
-    r = p22_suite(2)
+    r = law_suite("P22", 2)
     extra = dict(r.extra)
     assert extra["congruent_inclusion_failures"] == 0
     assert r.failures > 0                  # the equality claim fails on magmas
@@ -248,8 +242,8 @@ def test_p22_suite_relation_a_holds_under_congruence():
 
 
 def test_composition_suites_find_nothing():
-    for prop, law in (("p41", "P41"), ("p42", "P42")):
-        r = composition_suite_result(prop)
+    for law in ("P41", "P42"):
+        r = law_suite(law, 2)
         assert r.failures == 0 and r.instances > 0
         out = find_counterexample(law, SearchSpec(universe_size=2, carrier_size=2))
         assert out.status == "none"
@@ -257,18 +251,56 @@ def test_composition_suites_find_nothing():
 
 def test_find_counterexample_witness_is_suite_first_failure():
     for law in ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P31"):
-        suite = approx_law_suite(law, 3)
+        suite = law_suite(law, 3)
         out = find_counterexample(law, SearchSpec(universe_size=3, carrier_size=1))
         assert out.witness == suite.first_failure
-    suite = p22_suite(2)
+    suite = law_suite("P22", 2)
     out = find_counterexample("P22", SearchSpec(universe_size=2, carrier_size=2))
     witness = dict(out.witness)
     assert witness.pop("failed")
     assert witness == suite.first_failure
     for law in ("P41", "P42"):
-        suite = composition_suite_result(law.lower())
+        suite = law_suite(law, 2)
         out = find_counterexample(law, SearchSpec(universe_size=2, carrier_size=2))
         assert out.witness == suite.first_failure
+
+
+def test_law_suite_rejects_unknown_law_and_size():
+    with pytest.raises(ValueError):
+        law_suite("L10", 2)
+    for max_n in (0, 7):
+        with pytest.raises(SizeOutOfRangeError):
+            law_suite("L1", max_n)
+        with pytest.raises(SizeOutOfRangeError):
+            law_suite("P41", max_n)
+
+
+def test_find_counterexample_and_law_suite_reject_the_same_names():
+    def rejects(run):
+        try:
+            run()
+        except ValueError:
+            return True
+        return False
+
+    bounds = SearchSpec(universe_size=1, carrier_size=1, budget=1)
+    for law in COUNTEREXAMPLE_LAWS + ("C1", "L0", "L10", "P21", "p41", "l1", ""):
+        by_find = rejects(lambda: find_counterexample(law, bounds))
+        by_suite = rejects(lambda: law_suite(law, 1))
+        assert by_find == by_suite == (law not in COUNTEREXAMPLE_LAWS), law
+
+
+def test_law_suite_sweep_sizes():
+    # L1-L9/P31 run at max_n, P22 at min(max_n, 2), P41/P42 always at 2
+    assert law_suite("L1", 1).instances == 4
+    assert law_suite("P22", 1).instances == 1
+    assert law_suite("P22", 6) == law_suite("P22", 2)
+    for law in ("P41", "P42"):
+        r = law_suite(law, 1)
+        assert r == law_suite(law, 6)
+        extra = dict(r.extra)
+        # 2 ** 4 tables on {1 2}, each with (2 ** 2) ** 2 pairs of self-maps
+        assert extra["tables"] == 16 and r.instances + extra["skipped_pairs"] == 16 * 16
 
 
 # Staged search against a naive oracle: every candidate decoded on its own
