@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Literal, Mapping as TMapping, Optional
 
-from .approx import ApproxSpace, Subset, Universe, approximate
+from .approx import ApproxSpace, Subset, Universe, _witness, approximate
 from .errors import (
     CarrierNotFullError,
     EmptyCarrierError,
@@ -528,8 +528,7 @@ def _product_relations(space: ApproxSpace, table: OpTable, x: Subset, y: Subset)
 
     def incl(name: str, lhs: Subset, rhs: Subset) -> RelationCheck:
         bad = lhs.mask & ~rhs.mask
-        w = None if bad == 0 else u.labels[(bad & -bad).bit_length() - 1]
-        return RelationCheck(name, bad == 0, w)
+        return RelationCheck(name, bad == 0, _witness(u, bad))
 
     return (
         incl("a", up_prod, aprod.upper),

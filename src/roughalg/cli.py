@@ -24,7 +24,7 @@ from .fixtures import audit_paper, find_approx_claim
 from .morphisms import check_anti_group_hom, check_hom, check_rough_hom
 from .report import classification_json, partition_json, subset_json, table_json
 from .rough_structures import check_rough_anti_semigroup, check_rough_anti_subsemigroup
-from .scenario import ParseError, Scenario, parse_scenario
+from .scenario import Scenario, parse_scenario
 
 class CliInputError(RoughAlgError):
     """Bad file contents or references; maps to exit code 2."""
@@ -442,9 +442,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
     try:
         report, text, failed = _dispatch(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except RoughAlgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@
 
 Everything streams in one canonical order (partition restricted-growth
 string, then carrier combination, then table cells row-major, then mapping
-graph), so searches are reproducible and the space can be split by index
+graph), so searches are reproducible and the space can be split into
 ranges across workers without changing the output.
 
 A law sweep is stream -> reducer -> `_pmap`.  Each law family has one
@@ -14,10 +14,11 @@ instance a falsy item if it holds, else a callable that builds the witness.
 `find_counterexample` under a budget.  `_pmap` runs the slices, on worker
 processes when jobs > 1, and returns results in task order.
 
-`search` maps `_scan` over index ranges the same way.  Law constraints see
-only a candidate's (carrier, table) rest, so `_scan` checks each rest once,
-on raw cells, replays the passing ones across partitions, and returns hit
-indices, from which `search` builds the hits.
+`search` maps `_scan` over ranges of (carrier, table) rests the same way.
+Law constraints see only a candidate's rest, so each rest is checked once,
+on raw cells, by the one worker whose range holds it; `_scan` replays the
+passing rests across partitions and returns hit indices, from which
+`search` builds the hits.
 
 Size caps: universes up to 6 elements, table carriers up to 4.
 """
@@ -35,6 +36,7 @@ from .approx import (
     Partition,
     Subset,
     Universe,
+    _witness,
     approximate,
     check_approx_law,
     make_universe,
@@ -248,46 +250,35 @@ def _passing_rests(spec: SearchSpec, fixture, lo: int, hi: int) -> Iterator[int]
                 yield rest
 
 
-def _law_hits(spec: SearchSpec, fixture, start: int, end: int) -> Iterator[int]:
-    """Candidate indices in start..end-1 that meet every law constraint, in order.
+def _scan(spec: SearchSpec, lo: int, hi: int) -> list[int]:
+    """Indices of the hits whose rest (carrier, then table) is in lo..hi-1, in
+    canonical order, stopping at spec.limit or the budget.
 
-    Law constraints see only an index's rest (carrier, then table), which
-    repeats every space: each rest is checked once, from the start on, then
-    in the next space those below it.  The passing offsets then repeat, so
-    they are kept only when the range is longer than one space."""
-    _, _, carriers, ntables = fixture
-    per_space = len(carriers) * ntables
-    base = start - start % per_space
-    replay = end > start + per_space
-    offsets = []
-    for lo, hi, shift in ((start - base, per_space, base), (0, start - base, base + per_space)):
-        for rest in _passing_rests(spec, fixture, lo, min(hi, end - shift)):
-            if replay:
-                offsets.append(shift + rest - start)
-            yield shift + rest
-    for period in range(start + per_space, end, per_space):
-        for offset in offsets:
-            if period + offset >= end:
-                return
-            yield period + offset
-
-
-def _scan(spec: SearchSpec, start: int, end: int) -> list[int]:
-    """Indices of the hits among candidates start..end-1, stopping at spec.limit.
-    Only candidates that meet the law constraints get a table, for the structural ones."""
+    Law constraints see only the rest, so each rest is checked once, lazily
+    in the first space, and the passing ones are replayed in the later
+    spaces.  Only those get a table, for the structural constraints."""
     fixture = _search_fixture(spec)
     _, spaces, carriers, ntables = fixture
+    per_space = len(carriers) * ntables
+    end = min(len(spaces) * per_space, spec.budget)
+    passing: list[int] = []
     hits = []
-    for idx in _law_hits(spec, fixture, start, end):
-        if spec.structural_constraints:
-            sidx, rest = divmod(idx, len(carriers) * ntables)
-            table = _rest_table(spec, fixture, rest)
-            if not all(STRUCTURAL_CONSTRAINTS[name](spaces[sidx], table)
-                       for name in spec.structural_constraints):
-                continue
-        hits.append(idx)
-        if len(hits) == spec.limit:
-            break
+    for sidx, space in enumerate(spaces):
+        first = sidx == 0
+        for rest in _passing_rests(spec, fixture, lo, hi) if first else passing:
+            idx = sidx * per_space + rest
+            if idx >= end:
+                return hits
+            if first:
+                passing.append(rest)
+            if spec.structural_constraints:
+                table = _rest_table(spec, fixture, rest)
+                if not all(STRUCTURAL_CONSTRAINTS[name](space, table)
+                           for name in spec.structural_constraints):
+                    continue
+            hits.append(idx)
+            if len(hits) == spec.limit:
+                return hits
     return hits
 
 
@@ -301,10 +292,12 @@ def search(spec: SearchSpec, jobs: int = 1) -> SearchOutcome:
     per_space = len(carriers) * ntables
     total = len(spaces) * per_space
     end = min(total, spec.budget)
-    # Each range holds at most `limit` hits and precedes the next range, so
-    # the first `limit` hits of the concatenation are the global first.
-    parts = _pmap(_scan, [(spec, r.start, r.stop) for r in _split(range(end), jobs)], jobs)
-    indices = [idx for part in parts for idx in part][: spec.limit]
+    # Workers split the rests, so each rest is law-checked by one worker.
+    # Each returns its own first `limit` hits, so the global first `limit`
+    # hits are all in the union.
+    ranges = _split(range(min(per_space, end)), jobs)
+    parts = _pmap(_scan, [(spec, r.start, r.stop) for r in ranges], jobs)
+    indices = sorted(idx for part in parts for idx in part)[: spec.limit]
     # hits that differ only in the partition share a table
     tables = {rest: _rest_table(spec, fixture, rest) for rest in {i % per_space for i in indices}}
     hits = [SearchHit(i, spaces[i // per_space], tables[i % per_space]) for i in indices]
@@ -348,7 +341,7 @@ def _l_or_p31_fails(law: str, space, x, y) -> tuple[bool, str | None]:
         ub = approximate(space, y).upper
         uab = approximate(space, x & y).upper
         bad = (ua & ub) - uab
-        return bool(bad), (bad.labels()[0] if bad else None)
+        return bool(bad), _witness(space.universe, bad.mask)
     chk = check_approx_law(space, law, x, y)
     return not chk.holds, chk.witness
 

@@ -55,6 +55,15 @@ AUDIT_ITEMS = (
     "P-PARTITION-COVER",
 )
 
+# The published upper approximations of the fixture sets:
+# (item, set, claimed value, citation, audit notes).
+UPPER_CLAIMS = (
+    ("EX3.1-UPPER-A", "A", ("1", "2", "3", "4"), 'Example 3.1: "~A = {1, 2, 3, 4}"',
+     ("derived from the completed classification; "
+      "no completion of the stated classes yields the claimed value",)),
+    ("EX3.2-UPPER-B", "B", ("1", "2", "3", "5"), 'Example 3.2: "~B = {1, 2, 3, 5}"', ()),
+)
+
 
 def fixture_scenario() -> Scenario:
     return parse_scenario(EXAMPLE31_RAS)
@@ -89,23 +98,9 @@ def audit_paper() -> tuple[AuditFinding, ...]:
     table_c = s.tables["C"].table
     table_a = s.tables["TA"].table
     table_b = s.tables["TB"].table
-    findings = []
-
-    upper_a = approximate(space, a).upper
-    findings.append(_value_claim(
-        "EX3.1-UPPER-A", claim_value=("1", "2", "3", "4"),
-        citation='Example 3.1: "~A = {1, 2, 3, 4}"',
-        derived=upper_a.labels(),
-        notes=("derived from the completed classification; "
-               "no completion of the stated classes yields the claimed value",),
-    ))
-
-    upper_b = approximate(space, b).upper
-    findings.append(_value_claim(
-        "EX3.2-UPPER-B", claim_value=("1", "2", "3", "5"),
-        citation='Example 3.2: "~B = {1, 2, 3, 5}"',
-        derived=upper_b.labels(),
-    ))
+    findings = [_value_claim(item, value, citation,
+                             approximate(space, s.sets[name].subset).upper.labels(), notes)
+                for item, name, value, citation, notes in UPPER_CLAIMS]
 
     cls = classify(table_c)
     mixed = [law for law in ("C1", "C2", "C3", "C5") if cls.verdict(law).status == "Mixed"]
@@ -124,7 +119,7 @@ def audit_paper() -> tuple[AuditFinding, ...]:
     notes = ()
     if def31.condition1.witnesses:
         x, y, v = def31.condition1.witnesses[0]
-        notes = (f"witness: {x}*{y} = {v}, outside upper(A) = {upper_a!r}",)
+        notes = (f"witness: {x}*{y} = {v}, outside upper(A) = {approximate(space, a).upper!r}",)
     findings.append(AuditFinding(
         "EX3.1-DEF31",
         claim="A is a rough anti-semigroup over the classification",
@@ -210,13 +205,8 @@ def find_approx_claim(space: ApproxSpace, queried: Subset):
     s = fixture_scenario()
     if space != fixture_space(s):
         return None
-    claims = {
-        s.sets["A"].subset: ("EX3.1-UPPER-A", "{1 2 3 4}", 'Example 3.1: "~A = {1, 2, 3, 4}"'),
-        s.sets["B"].subset: ("EX3.2-UPPER-B", "{1 2 3 5}", 'Example 3.2: "~B = {1, 2, 3, 5}"'),
-        s.sets["A"].subset & s.sets["B"].subset:
-            ("EX3.3-INTERSECTION", "{1 2 3 5}", 'Example 3.3: "~(A ∩ B) = {1, 2, 3, 5}"'),
-    }
-    for key, value in claims.items():
-        if queried == key:
-            return value
-    return None
+    claims = {s.sets[name].subset: (item, _fmt(value), citation)
+              for item, name, value, citation, _ in UPPER_CLAIMS}
+    claims[s.sets["A"].subset & s.sets["B"].subset] = (
+        "EX3.3-INTERSECTION", "{1 2 3 5}", 'Example 3.3: "~(A ∩ B) = {1, 2, 3, 5}"')
+    return claims.get(queried)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from functools import lru_cache
@@ -19,6 +20,7 @@ from roughalg import (
     search,
 )
 from roughalg.algebra import STATUSES, TABLE_LAWS
+from roughalg import enumeration
 from roughalg.enumeration import COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, _scan, law_suite
 from roughalg.errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
 
@@ -383,26 +385,61 @@ def test_search_random_specs_match_oracle():
         _assert_matches_oracle(_random_spec(rng))
 
 
+def _per_space(spec: SearchSpec) -> int:
+    total = len(_oracle_candidates(spec.universe_size, spec.carrier_size, spec.allow_indet))
+    return total // len(list(enum_partitions(spec.universe_size)))
+
+
 def test_scan_ranges_match_oracle():
-    # ranges that start and end anywhere, mid-space included, and wrap
-    # through one or more further spaces
+    # rest ranges [lo, hi) that start and end anywhere within one space; the
+    # hits are those below the budget whose rest index % per_space is in range
     rng = random.Random(5)
     for _ in range(60):
         spec = _random_spec(rng)
-        total = len(_oracle_candidates(spec.universe_size, spec.carrier_size, spec.allow_indet))
-        start = rng.randrange(total)
-        end = rng.randint(start + 1, total)
-        assert _scan(spec, start, end) == _oracle_hits(spec, start, end)
+        per_space = _per_space(spec)
+        lo = rng.randrange(per_space)
+        hi = rng.randint(lo + 1, per_space)
+        every = _oracle_hits(dataclasses.replace(spec, limit=10**9), 0, spec.budget)
+        expect = [idx for idx in every if lo <= idx % per_space < hi][: spec.limit]
+        assert _scan(spec, lo, hi) == expect
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpec(3, 2, law_constraints=(("C4", "AllFalse"),), limit=10**6),
+    SearchSpec(3, 2, True, (("C1", "Mixed"), ("C3", "AllFalse")), limit=10**6),
+])
+def test_scan_parts_check_each_rest_once(spec, monkeypatch):
+    # search's _scan parts, run in-process: the law checks summed over the
+    # parts do not grow with their number, and the parts find every hit
+    calls = 0
+    has_status = enumeration._has_status
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return has_status(*args)
+
+    monkeypatch.setattr(enumeration, "_has_status", counting)
+    monkeypatch.setattr(enumeration, "_pmap", lambda fn, argsets, jobs: [fn(*a) for a in argsets])
+    counts = []
+    for parts in (1, 2, 3):
+        calls = 0
+        assert [h.index for h in search(spec, jobs=parts).hits] == _oracle_hits(spec, 0, spec.budget)
+        counts.append(calls)
+    # every rest is checked against its first law at least
+    assert counts[0] >= _per_space(spec) and counts == [counts[0]] * 3
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_parallel_search_matches_oracle(jobs):
-    # n=3, k=2: 243 candidates per space.  A budget of 1,000 splits at 500
-    # (jobs 2) or 334 and 668 (jobs 3), all mid-space, so the later ranges
-    # start inside one partition and wrap into the next.
-    assert all(b % 243 for b in (500, 334, 668))
+    # n=3, k=2: 243 rests per space.  The workers split the rests below
+    # min(243, budget) and replay their passing ones in the later spaces.
+    # A budget of 1,000 stops them inside the fifth space, one of 200
+    # inside the first.
+    assert 1000 % 243 and 200 < 243
     specs = [
         SearchSpec(3, 2, law_constraints=(("C4", "AllFalse"),), limit=10**6, budget=1000),
+        SearchSpec(3, 2, law_constraints=(("C4", "AllFalse"),), limit=10**6, budget=200),
         SearchSpec(3, 2, law_constraints=(("C1", "Mixed"), ("C3", "AllFalse")),
                    structural_constraints=("rough-carrier",), limit=10**6, budget=1000),
         SearchSpec(3, 2, True, (("C5", "AllTrue"),), limit=25, budget=10**6),
