@@ -35,18 +35,22 @@ class RoughStructVerdict:
     upper_used: Subset
 
 
-def _resolve(table: OpTable, ambient: Optional[OpTable], ix: int, iy: int) -> tuple[bool, Optional[int]]:
-    """Product of universe indices via the table, then the ambient table.
+def _products(table: OpTable, ambient: Optional[OpTable]) -> list[list[Optional[int]]]:
+    """Products by universe indices: the table's cell, else the ambient table's.
 
-    Returns (resolvable, value); an INDET cell is unresolvable.
+    None marks an unresolvable product: an INDET cell of the table that
+    covers both operands, or operands that no table covers together.
     """
-    if table.pos[ix] >= 0 and table.pos[iy] >= 0:
-        v = table.value_at(table.pos[ix], table.pos[iy])
-        return (v is not INDET, v)
-    if ambient is not None and ambient.pos[ix] >= 0 and ambient.pos[iy] >= 0:
-        v = ambient.value_at(ambient.pos[ix], ambient.pos[iy])
-        return (v is not INDET, v)
-    return (False, None)
+    n = table.universe.size
+    prod = [[None] * n for _ in range(n)]
+    for t in (ambient, table):  # the table's cells overwrite the ambient's
+        if t is None:
+            continue
+        for px, ix in enumerate(t.order):
+            row = prod[ix]
+            for py, iy in enumerate(t.order):
+                row[iy] = t.cells[px * t.k + py]
+    return prod
 
 
 def _closure_condition(table: OpTable, members: Subset, target: Subset) -> ConditionCheck:
@@ -89,20 +93,17 @@ def check_rough_anti_semigroup(
     t = f = ind = 0
     wit = []
     members = tuple(up)
+    prod = _products(table, ambient)
     for ix in members:
+        row_x = prod[ix]
         for iy in members:
-            ok_xy, xy = _resolve(table, ambient, ix, iy)
+            xy = row_x[iy]
+            row_xy = None if xy is None else prod[xy]
+            row_y = prod[iy]
             for iz in members:
-                left = right = None
-                if ok_xy:
-                    lok, left = _resolve(table, ambient, xy, iz)
-                    if not lok:
-                        left = None
-                ok_yz, yz = _resolve(table, ambient, iy, iz)
-                if ok_yz:
-                    rok, right = _resolve(table, ambient, ix, yz)
-                    if not rok:
-                        right = None
+                left = None if row_xy is None else row_xy[iz]
+                yz = row_y[iz]
+                right = None if yz is None else row_x[yz]
                 if left is None or right is None:
                     ind += 1
                 elif left == right:

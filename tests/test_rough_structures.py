@@ -49,6 +49,46 @@ def test_def31_trivial():
     assert v.overall and v.condition1.holds and v.condition2.holds
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**30))
+def test_def31_condition2_matches_plain_resolution(n, seed):
+    rng = random.Random(seed)
+    u = make_universe([str(i) for i in range(n)])
+    space = make_space(u, blocks_from_rgs(u, random_rgs(rng, n)))
+
+    def random_table(carrier):
+        labels = carrier.labels()
+        return make_table(u, carrier, {(x, y): rng.choice((None,) + u.labels)
+                                       for x in labels for y in labels})
+
+    table = random_table(Subset(u, rng.randrange(1, 1 << n)))
+    ambient = random_table(Subset(u, rng.randrange(1, 1 << n)))
+    v = check_rough_anti_semigroup(space, table, ambient)
+
+    own, amb = table_dict(table), table_dict(ambient)
+
+    def resolve(a, b):
+        # the table's own cell wins over the ambient's, even when indeterminate
+        return own[(a, b)] if (a, b) in own else amb.get((a, b))
+
+    t = f = ind = 0
+    wit = []
+    for x, y, z in itertools.product(v.upper_used.labels(), repeat=3):
+        xy, yz = resolve(x, y), resolve(y, z)
+        left = resolve(xy, z) if xy is not None else None
+        right = resolve(x, yz) if yz is not None else None
+        if left is None or right is None:
+            ind += 1
+        elif left == right:
+            t += 1
+        else:
+            f += 1
+            wit.append((x, y, z))
+    c2 = v.condition2
+    assert (c2.true_count, c2.false_count, c2.indet_count) == (t, f, ind)
+    assert c2.witnesses == tuple(wit)
+
+
 def test_def31_passing_instance_found_by_search():
     spec = SearchSpec(universe_size=3, carrier_size=2,
                       structural_constraints=("rough-anti-semigroup", "rough-carrier"),
