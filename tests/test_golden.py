@@ -31,6 +31,7 @@ SEARCH_GOLDENS = GOLDEN / "search_hits.json"
 
 RAS = "fixtures/example31.ras"
 LAWS = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P22", "P31", "P41", "P42")
+APPROX_SUITES = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P31")
 FULL = ["--limit", "1000000", "--budget", "1000000"]
 
 
@@ -40,6 +41,7 @@ def _commands() -> list[list[str]]:
     # at n = 2; at --max-n 6 P22 is capped at n = 2
     base += [["laws", "--max-n", "1", "--law", law] for law in LAWS]
     base += [["laws", "--max-n", "6", "--law", law] for law in ("P22", "P41", "P42")]
+    base += [["laws", "--max-n", "5", "--law", law] for law in APPROX_SUITES]
     for n in ("2", "3"):
         scan = ["search", "--universe-size", n, "--carrier-size", "2",
                 "--require", "C4=AllFalse"]
@@ -63,7 +65,10 @@ def _commands() -> list[list[str]]:
         ["check", "rough-semigroup", RAS, "--space", "P", "--table", "TA", "--ambient", "C"],
         ["check", "rough-subsemigroup", RAS, "--space", "P", "--table", "C", "--subset", "A"],
     ]
-    return base + [["--json"] + argv for argv in base]
+    # the two n = 6 sweeps, text only: L4 holds throughout, P31 pins a
+    # first-failure witness
+    text_only = [["laws", "--max-n", "6", "--law", law] for law in ("L4", "P31")]
+    return base + [["--json"] + argv for argv in base] + text_only
 
 
 def _stdout_digest(argv: list[str]) -> str:
