@@ -6,6 +6,10 @@ elements whose whole class sits inside X, the upper approximation the
 elements whose class meets X; their difference is the boundary, and X is
 rough exactly when the boundary is nonempty.
 
+The block loop `_lower_upper` defines both operators on masks, `_law_bad`
+the laws L1-L9 and P31.  The law sweeps read the loop through per-space
+tables over every mask; everything else runs it per mask it reads.
+
 Subsets are immutable bitmask-backed values tied to their universe; mixing
 universes raises instead of coercing.
 """
@@ -230,20 +234,25 @@ class ApproxResult:
     is_rough: bool
 
 
+def _lower_upper(space: ApproxSpace, mask: int) -> tuple[int, int]:
+    """The lower and upper approximation masks of a subset mask: the union of
+    the blocks inside it and of the blocks meeting it."""
+    lower = upper = 0
+    for block in space.partition.blocks:
+        if block.mask & mask:
+            upper |= block.mask
+            if block.mask & ~mask == 0:
+                lower |= block.mask
+    return lower, upper
+
+
 def approximate(space: ApproxSpace, x: Subset) -> ApproxResult:
     """Lower = the union of the blocks inside X, upper = of the blocks meeting X."""
     if x.universe != space.universe:
         raise UniverseMismatchError("subset not over the space's universe")
-    lower = upper = 0
-    for block in space.partition.blocks:
-        if block.mask & x.mask:
-            upper |= block.mask
-            if block.mask & ~x.mask == 0:
-                lower |= block.mask
-    lo = Subset(space.universe, lower)
-    up = Subset(space.universe, upper)
-    boundary = Subset(space.universe, upper & ~lower)
-    return ApproxResult(lo, up, boundary, boundary.mask != 0)
+    lower, upper = _lower_upper(space, x.mask)
+    u = space.universe
+    return ApproxResult(Subset(u, lower), Subset(u, upper), Subset(u, upper & ~lower), upper != lower)
 
 
 APPROX_LAWS = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9")
@@ -281,8 +290,9 @@ def _witness(universe: Universe, bad_mask: int) -> str | None:
     return universe.labels[(bad_mask & -bad_mask).bit_length() - 1]
 
 
-def check_approx_law(space: ApproxSpace, law: str, x: Subset, y: Subset) -> LawCheck:
-    """Evaluate a single law on (X, Y); the witness is the least offender.
+def _law_bad(law: str, lower, upper, full: int, x: int, y: int) -> int:
+    """The mask of elements that violate one law on the masks X and Y, 0 if it
+    holds; lower[m] and upper[m] are the approximations of mask m.
 
     L1  lower(X) inside X inside upper(X)
     L2  approximations of the empty set and of U are themselves
@@ -293,50 +303,53 @@ def check_approx_law(space: ApproxSpace, law: str, x: Subset, y: Subset) -> LawC
     L7  lower(X^c) = (upper X)^c and upper(X^c) = (lower X)^c
     L8  lower and upper of lower(X) are lower(X)
     L9  lower and upper of upper(X) are upper(X)
+    P31 upper(X) n upper(Y) inside upper(X n Y)
     """
-    u = space.universe
-    ax = approximate(space, x)
     if law == "L1":
-        bad = (ax.lower.mask & ~x.mask) | (x.mask & ~ax.upper.mask)
-    elif law == "L2":
-        e = approximate(space, Subset.empty(u))
-        f = approximate(space, Subset.full(u))
-        bad = e.lower.mask | e.upper.mask
-        bad |= u.full_mask() & ~(f.lower.mask & f.upper.mask)
-    elif law == "L3":
-        ay = approximate(space, y)
-        both = approximate(space, x | y)
-        bad = (ax.lower.mask | ay.lower.mask) & ~both.lower.mask
-    elif law == "L4":
-        ay = approximate(space, y)
-        both = approximate(space, x & y)
-        bad = both.lower.mask ^ (ax.lower.mask & ay.lower.mask)
-    elif law == "L5":
-        ay = approximate(space, y)
-        both = approximate(space, x | y)
-        bad = both.upper.mask ^ (ax.upper.mask | ay.upper.mask)
-    elif law == "L6":
-        ay = approximate(space, y)
-        both = approximate(space, x & y)
-        bad = both.upper.mask & ~(ax.upper.mask & ay.upper.mask)
-    elif law == "L7":
-        ac = approximate(space, x.complement())
-        bad = ac.lower.mask ^ (u.full_mask() & ~ax.upper.mask)
-        bad |= ac.upper.mask ^ (u.full_mask() & ~ax.lower.mask)
-    elif law == "L8":
-        again = approximate(space, ax.lower)
-        bad = (again.lower.mask ^ ax.lower.mask) | (again.upper.mask ^ ax.lower.mask)
-    elif law == "L9":
-        again = approximate(space, ax.upper)
-        bad = (again.upper.mask ^ ax.upper.mask) | (again.lower.mask ^ ax.upper.mask)
-    else:
+        return (lower[x] & ~x) | (x & ~upper[x])
+    if law == "L2":
+        return lower[0] | upper[0] | (full & ~(lower[full] & upper[full]))
+    if law == "L3":
+        return (lower[x] | lower[y]) & ~lower[x | y]
+    if law == "L4":
+        return lower[x & y] ^ (lower[x] & lower[y])
+    if law == "L5":
+        return upper[x | y] ^ (upper[x] | upper[y])
+    if law == "L6":
+        return upper[x & y] & ~(upper[x] & upper[y])
+    if law == "L7":
+        return (lower[full & ~x] ^ (full & ~upper[x])) | (upper[full & ~x] ^ (full & ~lower[x]))
+    if law == "L8":
+        return (lower[lower[x]] ^ lower[x]) | (upper[lower[x]] ^ lower[x])
+    if law == "L9":
+        return (upper[upper[x]] ^ upper[x]) | (lower[upper[x]] ^ upper[x])
+    if law == "P31":
+        return upper[x] & upper[y] & ~upper[x & y]
+    raise ValueError(f"unknown approximation law {law!r}")
+
+
+class _Memo(dict):
+    """mask -> its lower (side 0) or upper (side 1) mask, by the block loop on first read."""
+
+    def __init__(self, space: ApproxSpace, side: int) -> None:
+        self.space, self.side = space, side
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = _lower_upper(self.space, mask)[self.side]
+        return value
+
+
+def check_approx_law(space: ApproxSpace, law: str, x: Subset, y: Subset) -> LawCheck:
+    """Evaluate one law of APPROX_LAWS on (X, Y); the witness is the least offender."""
+    if x.universe != space.universe or y.universe != space.universe:
+        raise UniverseMismatchError("subset not over the space's universe")
+    if law not in APPROX_LAWS:
         raise ValueError(f"unknown approximation law {law!r}")
+    u = space.universe
+    bad = _law_bad(law, _Memo(space, 0), _Memo(space, 1), u.full_mask(), x.mask, y.mask)
     return LawCheck(law, bad == 0, _witness(u, bad))
 
 
 def check_approx_laws(space: ApproxSpace, x: Subset, y: Subset) -> ApproxLawReport:
     """Evaluate all nine laws on (X, Y)."""
-    for s in (x, y):
-        if s.universe != space.universe:
-            raise UniverseMismatchError("subset not over the space's universe")
     return ApproxLawReport(tuple(check_approx_law(space, law, x, y) for law in APPROX_LAWS))

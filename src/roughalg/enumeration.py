@@ -6,9 +6,10 @@ graph), so searches are reproducible and the space can be split into
 ranges across workers without changing the output.
 
 A law sweep is stream -> reducer -> `_pmap`.  Each law family has one
-instance stream over a slice of its tasks (`_approx_stream` for L1-L9 and
-P31, `_p22_stream`, `_composition_stream` for P41/P42), yielding per
-instance a falsy item if it holds, else a callable that builds the witness.
+instance stream over a slice of its tasks, yielding per instance a falsy
+item if it holds, else a callable that builds the witness: `_approx_stream`
+for L1-L9 and P31, which reads lower/upper tables built once per space,
+`_p22_stream`, and `_composition_stream` for P41/P42.
 `_law_stream` maps each law of COUNTEREXAMPLE_LAWS to its stream and tasks.
 `_count` reduces a stream for `law_suite`, `_first` for
 `find_counterexample` under a budget.  `_pmap` runs the slices, on worker
@@ -36,9 +37,10 @@ from .approx import (
     Partition,
     Subset,
     Universe,
+    _law_bad,
+    _lower_upper,
     _witness,
     approximate,
-    check_approx_law,
     make_universe,
     space_from_partition,
 )
@@ -319,44 +321,32 @@ def _space_tasks(max_n: int) -> list[tuple[int, int]]:
     return [(n, p) for n in range(1, max_n + 1) for p in range(bell_number(n))]
 
 
-def _task_spaces(tasks: list[tuple[int, int]]):
-    """(universe, space, every subset) for each (n, partition index) task."""
-    fixtures: dict[int, tuple] = {}
-    for n, pidx in tasks:
-        if n not in fixtures:
-            universe = canonical_universe(n)
-            subsets = [Subset(universe, m) for m in range(1 << n)]
-            fixtures[n] = (universe, list(enum_spaces(n, universe)), subsets)
-        universe, spaces, subsets = fixtures[n]
-        yield universe, spaces[pidx], subsets
+def _task_spaces(tasks: list[tuple[int, int]]) -> Iterator[ApproxSpace]:
+    """The space of each (n, partition index) task."""
+    spaces = {n: list(enum_spaces(n)) for n in {n for n, _ in tasks}}
+    return (spaces[n][pidx] for n, pidx in tasks)
 
 
 def _space_descr(space: ApproxSpace) -> dict:
     return {"universe": list(space.universe.labels), "partition": partition_json(space.partition)}
 
 
-def _l_or_p31_fails(law: str, space, x, y) -> tuple[bool, str | None]:
-    if law == "P31":
-        ua = approximate(space, x).upper
-        ub = approximate(space, y).upper
-        uab = approximate(space, x & y).upper
-        bad = (ua & ub) - uab
-        return bool(bad), _witness(space.universe, bad.mask)
-    chk = check_approx_law(space, law, x, y)
-    return not chk.holds, chk.witness
-
-
-def _approx_witness(space: ApproxSpace, x: Subset, y: Subset, wit: str | None) -> dict:
-    return {**_space_descr(space), "A": list(x.labels()), "B": list(y.labels()), "witness": wit}
+def _approx_witness(space: ApproxSpace, x: int, y: int, bad: int) -> dict:
+    u = space.universe
+    return {**_space_descr(space), "A": list(Subset(u, x).labels()),
+            "B": list(Subset(u, y).labels()), "witness": _witness(u, bad)}
 
 
 def _approx_stream(law: str, tasks: list[tuple[int, int]]):
-    """L1..L9 or P31 over every pair of subsets, for each task's space."""
-    for _, space, subsets in _task_spaces(tasks):
-        for x in subsets:
-            for y in subsets:
-                fails, wit = _l_or_p31_fails(law, space, x, y)
-                yield fails and partial(_approx_witness, space, x, y, wit)
+    """L1..L9 or P31 over every pair of subset masks of each task's space,
+    reading lower/upper tables built once per space over all its masks."""
+    for space in _task_spaces(tasks):
+        full = space.universe.full_mask()
+        lower, upper = zip(*(_lower_upper(space, m) for m in range(full + 1)))
+        for x in range(full + 1):
+            for y in range(full + 1):
+                bad = _law_bad(law, lower, upper, full, x, y)
+                yield bad and partial(_approx_witness, space, x, y, bad)
 
 
 def _p22_witness(space: ApproxSpace, table: OpTable, x: Subset, y: Subset,
@@ -370,8 +360,9 @@ def _p22_stream(tasks: list[tuple[int, int]]):
     and every pair of nonempty subsets.  Returns the congruent instances
     and their failures of inclusion (a), a theorem there, and of the equality."""
     congruent = inclusion = equality = 0
-    for universe, space, subsets in _task_spaces(tasks):
-        nonempty = subsets[1:]
+    for space in _task_spaces(tasks):
+        universe = space.universe
+        nonempty = [Subset(universe, m) for m in range(1, 1 << universe.size)]
         for table in enum_tables(universe, Subset.full(universe)):
             cong = is_congruence(space, table).holds
             for x in nonempty:

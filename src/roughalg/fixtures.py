@@ -179,21 +179,17 @@ def _cover_finding(u: Universe) -> AuditFinding:
     blocks = [Subset.from_labels(u, labs) for labs in STATED_BLOCKS]
     try:
         make_partition(u, blocks)
+        derived, status, notes = "validated as a partition", "MATCH", ()
     except RoughAlgError as e:
-        return AuditFinding(
-            "P-PARTITION-COVER",
-            claim="U/~ = {E1, E2, E3} with E1 = {1 2 3}, E2 = {4}, E3 = {5}",
-            citation='Example 3.1: "A classification of U"',
-            derived=f"not a partition of U: {e}",
-            status="NOT-WELL-FORMED",
-            notes=("fixtures complete the cover with the block { 6 }",),
-        )
+        derived, status = f"not a partition of U: {e}", "NOT-WELL-FORMED"
+        notes = ("fixtures complete the cover with the block { 6 }",)
     return AuditFinding(
         "P-PARTITION-COVER",
         claim="U/~ = {E1, E2, E3} with E1 = {1 2 3}, E2 = {4}, E3 = {5}",
         citation='Example 3.1: "A classification of U"',
-        derived="validated as a partition",
-        status="MATCH",
+        derived=derived,
+        status=status,
+        notes=notes,
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .approx import ApproxSpace, Subset, approximate
+from .approx import ApproxSpace, Subset, _law_bad, _Memo, approximate
 from .algebra import INDET, OpTable
 from .errors import EmptySubsetError, NotInCarrierError, UniverseMismatchError
 
@@ -136,8 +136,8 @@ def check_rough_anti_subsemigroup(space: ApproxSpace, table: OpTable, h: Subset)
 class IntersectionReport:
     """The three inclusion facets for upper approximations of A, B and A n B."""
 
-    sub: ConditionCheck        # upper(A n B) inside upper(A) n upper(B); never fails
-    sup: ConditionCheck        # upper(A) n upper(B) inside upper(A n B)
+    sub: ConditionCheck        # law L6: upper(A n B) inside upper(A) n upper(B); never fails
+    sup: ConditionCheck        # law P31: upper(A) n upper(B) inside upper(A n B)
     equal: bool
     upper_a: Subset
     upper_b: Subset
@@ -148,16 +148,14 @@ def check_intersection_relations(space: ApproxSpace, a: Subset, b: Subset) -> In
     u = space.universe
     if a.universe != u or b.universe != u:
         raise UniverseMismatchError("subsets not over the space's universe")
-    ua = approximate(space, a).upper
-    ub = approximate(space, b).upper
-    uab = approximate(space, a & b).upper
-    both = ua & ub
+    lower, upper = _Memo(space, 0), _Memo(space, 1)
+    ua, ub, uab = (Subset(u, upper[m]) for m in (a.mask, b.mask, a.mask & b.mask))
 
-    def incl(lhs: Subset, rhs: Subset) -> ConditionCheck:
-        bad = lhs - rhs
+    def incl(law: str, lhs: Subset) -> ConditionCheck:
+        bad = Subset(u, _law_bad(law, lower, upper, u.full_mask(), a.mask, b.mask))
         return ConditionCheck(not bad, len(lhs) - len(bad), len(bad), 0,
                               tuple((x,) for x in bad.labels()))
 
-    sub = incl(uab, both)
-    sup = incl(both, uab)
+    sub = incl("L6", uab)
+    sup = incl("P31", ua & ub)
     return IntersectionReport(sub, sup, sub.holds and sup.holds, ua, ub, uab)

@@ -59,6 +59,32 @@ def naive_approx(blocks: list[set[str]], members: set[str]) -> tuple[set[str], s
     return lower, upper
 
 
+def approx_law_oracle(blocks: list[set[str]], universe: set[str], law: str,
+                      xs: set[str], ys: set[str]) -> set[str]:
+    """Offending elements of L1-L9 or P31 on the label sets X and Y, with
+    every approximation from naive_approx."""
+
+    def lo(s):
+        return naive_approx(blocks, s)[0]
+
+    def up(s):
+        return naive_approx(blocks, s)[1]
+
+    u, c = universe, universe - xs
+    return {
+        "L1": lambda: (lo(xs) - xs) | (xs - up(xs)),
+        "L2": lambda: lo(set()) | up(set()) | (u - lo(u)) | (u - up(u)),
+        "L3": lambda: (lo(xs) | lo(ys)) - lo(xs | ys),
+        "L4": lambda: lo(xs & ys) ^ (lo(xs) & lo(ys)),
+        "L5": lambda: up(xs | ys) ^ (up(xs) | up(ys)),
+        "L6": lambda: up(xs & ys) - (up(xs) & up(ys)),
+        "L7": lambda: (lo(c) ^ (u - up(xs))) | (up(c) ^ (u - lo(xs))),
+        "L8": lambda: (lo(lo(xs)) ^ lo(xs)) | (up(lo(xs)) ^ lo(xs)),
+        "L9": lambda: (up(up(xs)) ^ up(xs)) | (lo(up(xs)) ^ up(xs)),
+        "P31": lambda: (up(xs) & up(ys)) - up(xs & ys),
+    }[law]()
+
+
 def random_rgs(rng: random.Random, n: int) -> list[int]:
     a = [0]
     for _ in range(n - 1):

@@ -7,6 +7,7 @@ from roughalg import (
     APPROX_LAWS,
     Subset,
     approximate,
+    check_approx_law,
     check_approx_laws,
     enum_spaces,
     equivalence_class,
@@ -23,7 +24,12 @@ from roughalg.errors import (
     UnknownElementError,
 )
 
-from conftest import blocks_from_rgs, naive_approx, random_rgs
+from roughalg import approx
+from roughalg.approx import _law_bad, _lower_upper, _Memo, _witness
+
+from conftest import approx_law_oracle, blocks_from_rgs, naive_approx, random_rgs
+
+SWEPT_LAWS = APPROX_LAWS + ("P31",)
 
 
 def test_make_universe():
@@ -162,3 +168,59 @@ def test_oracle_equivalence(n, seed):
     lower, upper = naive_approx([set(b.labels()) for b in blocks], set(x.labels()))
     assert set(res.lower.labels()) == lower
     assert set(res.upper.labels()) == upper
+
+
+@pytest.mark.parametrize("law", APPROX_LAWS)
+def test_check_approx_law_rejects_other_universe(ex31, law):
+    other = Subset.full(make_universe(["x"]))
+    for x, y in ((ex31["A"], other), (other, ex31["A"])):
+        with pytest.raises(UniverseMismatchError):
+            check_approx_law(ex31["space"], law, x, y)
+
+
+@pytest.mark.parametrize("law", SWEPT_LAWS)
+def test_law_kernel_matches_oracle_exhaustive(law):
+    """The sweeps' kernel on per-space tables: the offender set, and so the
+    verdict and the least witness, for every (space, X, Y) with n <= 4."""
+    for n in (1, 2, 3, 4):
+        for space in enum_spaces(n):
+            u = space.universe
+            blocks = [set(b.labels()) for b in space.partition.blocks]
+            labels = [set(Subset(u, m).labels()) for m in range(1 << n)]
+            lower, upper = zip(*(_lower_upper(space, m) for m in range(1 << n)))
+            for x in range(1 << n):
+                for y in range(1 << n):
+                    bad = _law_bad(law, lower, upper, u.full_mask(), x, y)
+                    want = approx_law_oracle(blocks, set(u.labels), law, labels[x], labels[y])
+                    assert set(Subset(u, bad).labels()) == want, (space, x, y)
+                    assert _witness(u, bad) == min(want, key=u.index, default=None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(8, 32), st.integers(0, 2**30), st.sampled_from(SWEPT_LAWS))
+def test_lazy_law_kernel_matches_oracle(n, seed, law):
+    """check_approx_law, and the kernel on lazy lookups, on 8-32 elements."""
+    rng = random.Random(seed)
+    u = make_universe([str(i) for i in range(n)])
+    blocks = blocks_from_rgs(u, random_rgs(rng, n))
+    space = make_space(u, blocks)
+    x, y = Subset(u, rng.getrandbits(n)), Subset(u, rng.getrandbits(n))
+    want = approx_law_oracle([set(b.labels()) for b in blocks], set(u.labels), law,
+                             set(x.labels()), set(y.labels()))
+    bad = _law_bad(law, _Memo(space, 0), _Memo(space, 1), u.full_mask(), x.mask, y.mask)
+    assert set(Subset(u, bad).labels()) == want
+    if law != "P31":
+        chk = check_approx_law(space, law, x, y)
+        assert (chk.holds, chk.witness) == (not want, min(want, key=u.index, default=None))
+
+
+@pytest.mark.parametrize("law", APPROX_LAWS)
+def test_check_approx_law_builds_no_table_on_32_elements(law, monkeypatch):
+    reads = []
+    block_loop = approx._lower_upper
+    monkeypatch.setattr(approx, "_lower_upper",
+                        lambda space, mask: reads.append(mask) or block_loop(space, mask))
+    u = make_universe([str(i) for i in range(32)])
+    space = make_space(u, [Subset.from_indices(u, range(i, i + 4)) for i in range(0, 32, 4)])
+    chk = check_approx_law(space, law, Subset(u, 0x0F0F00FF), Subset(u, 0x00FFFF00))
+    assert chk.holds and 1 <= len(reads) <= 8

@@ -11,12 +11,14 @@ from roughalg import (
     check_intersection_relations,
     check_rough_anti_semigroup,
     check_rough_anti_subsemigroup,
+    enum_spaces,
     evaluate_law,
     make_space,
     make_table,
     make_universe,
     search,
 )
+from roughalg.approx import _law_bad, _lower_upper, _witness
 from roughalg.errors import EmptySubsetError, NotInCarrierError
 
 from conftest import blocks_from_rgs, random_rgs, table_dict
@@ -181,6 +183,20 @@ def test_intersection_minimal_counterexample():
 
     same = check_intersection_relations(space, a, a)
     assert same.equal
+
+
+def test_intersection_sup_is_the_p31_kernel():
+    """The "sup" facet and the P31 sweep agree on every pair at n <= 4."""
+    for n in (1, 2, 3, 4):
+        for space in enum_spaces(n):
+            u = space.universe
+            lower, upper = zip(*(_lower_upper(space, m) for m in range(1 << n)))
+            for a in range(1 << n):
+                for b in range(1 << n):
+                    sup = check_intersection_relations(space, Subset(u, a), Subset(u, b)).sup
+                    bad = _law_bad("P31", lower, upper, u.full_mask(), a, b)
+                    first = sup.witnesses[0][0] if sup.witnesses else None
+                    assert (sup.holds, first) == (bad == 0, _witness(u, bad)), (space, a, b)
 
 
 @settings(max_examples=200, deadline=None)
