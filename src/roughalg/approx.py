@@ -251,8 +251,10 @@ def approximate(space: ApproxSpace, x: Subset) -> ApproxResult:
     if x.universe != space.universe:
         raise UniverseMismatchError("subset not over the space's universe")
     lower, upper = _lower_upper(space, x.mask)
-    u = space.universe
-    return ApproxResult(Subset(u, lower), Subset(u, upper), Subset(u, upper & ~lower), upper != lower)
+    lo = Subset(space.universe, lower)
+    up = Subset(space.universe, upper)
+    boundary = Subset(space.universe, upper & ~lower)
+    return ApproxResult(lo, up, boundary, boundary.mask != 0)
 
 
 APPROX_LAWS = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9")
