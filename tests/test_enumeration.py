@@ -225,6 +225,24 @@ def test_find_counterexample_budget_counts_checked_pairs():
     assert out.status == "none" and out.examined == 60
 
 
+@pytest.mark.parametrize("law, n, examined, witness", [
+    ("P41", 2, 51, {"table": [["1", "1"], ["?", "2"]], "phi1": [["1", "1"], ["2", "2"]],
+                    "phi2": [["1", "2"], ["2", "1"]], "pair": ["1", "2"]}),
+    ("P42", 2, 258, {"table": [["2", "?"], ["?", "?"]], "phi1": [["1", "2"], ["2", "1"]],
+                     "phi2": [["1", "2"], ["2", "2"]], "pair": ["1", "1"]}),
+    ("P41", 3, 73, None),
+    ("P42", 3, 443, None),
+])
+def test_find_counterexample_composition_allow_indet(law, n, examined, witness):
+    # the only path where the stream reads allow_indet, and (at n = 3) where
+    # the 2-element carriers are proper subsets of the universe
+    out = find_counterexample(law, SearchSpec(universe_size=n, carrier_size=2,
+                                              allow_indet=True, budget=10**6))
+    assert (out.status, out.examined) == ("found", examined)
+    if witness is not None:
+        assert out.witness == witness
+
+
 def test_approx_law_suite_counts():
     r = law_suite("L5", 3)
     assert (r.instances, r.failures) == (356, 0)
