@@ -6,9 +6,10 @@ elements whose whole class sits inside X, the upper approximation the
 elements whose class meets X; their difference is the boundary, and X is
 rough exactly when the boundary is nonempty.
 
-The block loop `_lower_upper` defines both operators on masks, `_law_bad`
-the laws L1-L9 and P31.  The law sweeps read the loop through per-space
-tables over every mask; everything else runs it per mask it reads.
+The block loop `_lower_upper` defines both operators on masks, and the
+table `_LAW_BAD` holds the one formula of each law L1-L9 and P31.  The law
+sweeps read the loop through per-space tables over every mask; everything
+else runs it per mask it reads.
 
 Subsets are immutable bitmask-backed values tied to their universe; mixing
 universes raises instead of coercing.
@@ -292,42 +293,31 @@ def _witness(universe: Universe, bad_mask: int) -> str | None:
     return universe.labels[(bad_mask & -bad_mask).bit_length() - 1]
 
 
-def _law_bad(law: str, lower, upper, full: int, x: int, y: int) -> int:
-    """The mask of elements that violate one law on the masks X and Y, 0 if it
-    holds; lower[m] and upper[m] are the approximations of mask m.
-
-    L1  lower(X) inside X inside upper(X)
-    L2  approximations of the empty set and of U are themselves
-    L3  lower(X u Y) contains lower(X) u lower(Y)
-    L4  lower(X n Y) = lower(X) n lower(Y)
-    L5  upper(X u Y) = upper(X) u upper(Y)
-    L6  upper(X n Y) inside upper(X) n upper(Y)
-    L7  lower(X^c) = (upper X)^c and upper(X^c) = (lower X)^c
-    L8  lower and upper of lower(X) are lower(X)
-    L9  lower and upper of upper(X) are upper(X)
-    P31 upper(X) n upper(Y) inside upper(X n Y)
-    """
-    if law == "L1":
-        return (lower[x] & ~x) | (x & ~upper[x])
-    if law == "L2":
-        return lower[0] | upper[0] | (full & ~(lower[full] & upper[full]))
-    if law == "L3":
-        return (lower[x] | lower[y]) & ~lower[x | y]
-    if law == "L4":
-        return lower[x & y] ^ (lower[x] & lower[y])
-    if law == "L5":
-        return upper[x | y] ^ (upper[x] | upper[y])
-    if law == "L6":
-        return upper[x & y] & ~(upper[x] & upper[y])
-    if law == "L7":
-        return (lower[full & ~x] ^ (full & ~upper[x])) | (upper[full & ~x] ^ (full & ~lower[x]))
-    if law == "L8":
-        return (lower[lower[x]] ^ lower[x]) | (upper[lower[x]] ^ lower[x])
-    if law == "L9":
-        return (upper[upper[x]] ^ upper[x]) | (lower[upper[x]] ^ upper[x])
-    if law == "P31":
-        return upper[x] & upper[y] & ~upper[x & y]
-    raise ValueError(f"unknown approximation law {law!r}")
+# The mask of elements that violate each law on the masks X and Y, 0 if it
+# holds; lo[m] and up[m] are the lower and upper approximations of mask m.
+# L1  lower(X) inside X inside upper(X)
+# L2  approximations of the empty set and of U are themselves
+# L3  lower(X u Y) contains lower(X) u lower(Y)
+# L4  lower(X n Y) = lower(X) n lower(Y)
+# L5  upper(X u Y) = upper(X) u upper(Y)
+# L6  upper(X n Y) inside upper(X) n upper(Y)
+# L7  lower(X^c) = (upper X)^c and upper(X^c) = (lower X)^c
+# L8  lower and upper of lower(X) are lower(X)
+# L9  lower and upper of upper(X) are upper(X)
+# P31 upper(X) n upper(Y) inside upper(X n Y)
+_LAW_BAD = {
+    "L1": lambda lo, up, full, x, y: (lo[x] & ~x) | (x & ~up[x]),
+    "L2": lambda lo, up, full, x, y: lo[0] | up[0] | (full & ~(lo[full] & up[full])),
+    "L3": lambda lo, up, full, x, y: (lo[x] | lo[y]) & ~lo[x | y],
+    "L4": lambda lo, up, full, x, y: lo[x & y] ^ (lo[x] & lo[y]),
+    "L5": lambda lo, up, full, x, y: up[x | y] ^ (up[x] | up[y]),
+    "L6": lambda lo, up, full, x, y: up[x & y] & ~(up[x] & up[y]),
+    "L7": lambda lo, up, full, x, y:
+        (lo[full & ~x] ^ (full & ~up[x])) | (up[full & ~x] ^ (full & ~lo[x])),
+    "L8": lambda lo, up, full, x, y: (lo[lo[x]] ^ lo[x]) | (up[lo[x]] ^ lo[x]),
+    "L9": lambda lo, up, full, x, y: (up[up[x]] ^ up[x]) | (lo[up[x]] ^ up[x]),
+    "P31": lambda lo, up, full, x, y: up[x] & up[y] & ~up[x & y],
+}
 
 
 class _Memo(dict):
@@ -348,7 +338,7 @@ def check_approx_law(space: ApproxSpace, law: str, x: Subset, y: Subset) -> LawC
     if law not in APPROX_LAWS:
         raise ValueError(f"unknown approximation law {law!r}")
     u = space.universe
-    bad = _law_bad(law, _Memo(space, 0), _Memo(space, 1), u.full_mask(), x.mask, y.mask)
+    bad = _LAW_BAD[law](_Memo(space, 0), _Memo(space, 1), u.full_mask(), x.mask, y.mask)
     return LawCheck(law, bad == 0, _witness(u, bad))
 
 

@@ -61,14 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("parse", parents=[common], help="validate a scenario file")
+    sp.set_defaults(run=_cmd_parse)
     sp.add_argument("file")
 
     sp = sub.add_parser("approx", parents=[common], help="lower/upper/boundary of a set")
+    sp.set_defaults(run=_cmd_approx)
     sp.add_argument("file")
     sp.add_argument("--space", required=True, metavar="P")
     sp.add_argument("--set", dest="set_name", required=True, metavar="X")
 
     sp = sub.add_parser("classify", parents=[common], help="all ten law verdicts plus flags")
+    sp.set_defaults(run=_cmd_classify)
     sp.add_argument("file")
     sp.add_argument("--table", required=True, metavar="T")
 
@@ -76,18 +79,21 @@ def build_parser() -> argparse.ArgumentParser:
     chk_sub = chk.add_subparsers(dest="checker", required=True)
 
     sp = chk_sub.add_parser("rough-semigroup", parents=[common])
+    sp.set_defaults(run=_cmd_check_rough_semigroup)
     sp.add_argument("file")
     sp.add_argument("--space", required=True)
     sp.add_argument("--table", required=True)
     sp.add_argument("--ambient", default=None)
 
     sp = chk_sub.add_parser("rough-subsemigroup", parents=[common])
+    sp.set_defaults(run=_cmd_check_rough_subsemigroup)
     sp.add_argument("file")
     sp.add_argument("--space", required=True)
     sp.add_argument("--table", required=True)
     sp.add_argument("--subset", required=True)
 
     sp = chk_sub.add_parser("morphism", parents=[common])
+    sp.set_defaults(run=_cmd_check_morphism)
     sp.add_argument("file")
     sp.add_argument("--map", dest="map_name", required=True)
     sp.add_argument("--kind", required=True,
@@ -98,11 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--space-b", default=None)
 
     sp = sub.add_parser("laws", parents=[common], help="exhaustive law suites")
+    sp.set_defaults(run=_cmd_laws)
     sp.add_argument("--max-n", type=int, default=4, choices=range(1, 7), metavar="N",
                     help="universe size ceiling for L1-L9 and P31 (P22 caps at 2; P41/P42 run at 2)")
     sp.add_argument("--law", default=None, choices=COUNTEREXAMPLE_LAWS)
 
     sp = sub.add_parser("search", parents=[common], help="scan tables for law profiles")
+    sp.set_defaults(run=_cmd_search)
     sp.add_argument("--universe-size", type=int, required=True, metavar="N")
     sp.add_argument("--carrier-size", type=int, required=True, metavar="K")
     sp.add_argument("--require", action="append", default=[], metavar="LAW=STATUS")
@@ -110,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=100_000)
 
     sub.add_parser("audit-paper", parents=[common],
-                   help="recompute every bundled published claim")
+                   help="recompute every bundled published claim").set_defaults(run=_cmd_audit)
 
     return p
 
@@ -416,32 +424,12 @@ def _cmd_audit(args) -> tuple[dict, list[str], bool]:
     return report, text, failed
 
 
-def _dispatch(args) -> tuple[dict, list[str], bool]:
-    if args.command == "parse":
-        return _cmd_parse(args)
-    if args.command == "approx":
-        return _cmd_approx(args)
-    if args.command == "classify":
-        return _cmd_classify(args)
-    if args.command == "check":
-        if args.checker == "rough-semigroup":
-            return _cmd_check_rough_semigroup(args)
-        if args.checker == "rough-subsemigroup":
-            return _cmd_check_rough_subsemigroup(args)
-        return _cmd_check_morphism(args)
-    if args.command == "laws":
-        return _cmd_laws(args)
-    if args.command == "search":
-        return _cmd_search(args)
-    return _cmd_audit(args)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        report, text, failed = _dispatch(args)
+        report, text, failed = args.run(args)
     except RoughAlgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

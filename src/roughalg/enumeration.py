@@ -7,10 +7,10 @@ ranges across workers without changing the output.
 
 A law sweep is stream -> reducer -> `_pmap`.  Each law family has one
 instance stream over a slice of its tasks, yielding per instance a falsy
-item if it holds, else a callable that builds the witness: `_approx_stream`
-for L1-L9 and P31, which reads lower/upper tables built once per space,
-`_p22_stream`, and `_composition_stream` for P41/P42.
-`_law_stream` maps each law of COUNTEREXAMPLE_LAWS to its stream and tasks.
+item if it holds, else a callable that builds the witness, and returning
+any extra counts: `_approx_stream` for L1-L9 and P31, `_p22_stream`, and
+`_composition_stream` for P41/P42.  A `_SweepLaw` record per law of
+COUNTEREXAMPLE_LAWS holds its stream, tasks, sweep size and hypothesis.
 `_count` reduces a stream for `law_suite`, `_first` for
 `find_counterexample` under a budget.  `_pmap` runs the slices, on worker
 processes when jobs > 1, and returns results in task order.
@@ -27,17 +27,17 @@ Size caps: universes up to 6 elements, table carriers up to 4.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .approx import (
+    APPROX_LAWS,
     ApproxSpace,
     Partition,
     Subset,
     Universe,
-    _law_bad,
+    _LAW_BAD,
     _lower_upper,
     _witness,
     approximate,
@@ -151,6 +151,7 @@ def _pmap(fn: Callable, argsets: list[tuple], jobs: int) -> list:
     when there is more than one argset; in-process otherwise."""
     if jobs <= 1 or len(argsets) <= 1:
         return [fn(*args) for args in argsets]
+    from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(fn, *args) for args in argsets]
         return [f.result() for f in futures]
@@ -340,12 +341,13 @@ def _approx_witness(space: ApproxSpace, x: int, y: int, bad: int) -> dict:
 def _approx_stream(law: str, tasks: list[tuple[int, int]]):
     """L1..L9 or P31 over every pair of subset masks of each task's space,
     reading lower/upper tables built once per space over all its masks."""
+    law_bad = _LAW_BAD[law]
     for space in _task_spaces(tasks):
         full = space.universe.full_mask()
         lower, upper = zip(*(_lower_upper(space, m) for m in range(full + 1)))
         for x in range(full + 1):
             for y in range(full + 1):
-                bad = _law_bad(law, lower, upper, full, x, y)
+                bad = law_bad(lower, upper, full, x, y)
                 yield bad and partial(_approx_witness, space, x, y, bad)
 
 
@@ -384,32 +386,58 @@ def _composition_witness(table: OpTable, ce) -> dict:
 
 
 def _composition_stream(prop: str, allow_indet: bool, carriers: list[Subset]):
-    """Every checked pair of self-maps of each carrier, over each of its tables."""
+    """Every checked pair of self-maps of each carrier, over each of its tables.
+    Returns the tables and the pairs skipped as not composable."""
+    tables = skipped = 0
     for carrier in carriers:
         maps = list(enum_mappings(carrier, carrier))
         pairs = [(a, b) for a in maps for b in maps]
         for table in enum_tables(carrier.universe, carrier, allow_indet):
+            tables += 1
+            skipped += len(pairs)
             for ce in _composition_outcomes(table, pairs, prop):
+                skipped -= 1
                 yield ce and partial(_composition_witness, table, ce)
+    return {"tables": tables, "skipped_pairs": skipped}
 
 
 # the law table
 
-COUNTEREXAMPLE_LAWS = (
-    "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P22", "P31", "P41", "P42",
-)
+
+@dataclass(frozen=True)
+class _SweepLaw:
+    """One sweep law; the defaults are those of L1-L9 and P31, at n = max_n."""
+
+    stream: Callable[[bool], Callable]  # allow_indet -> picklable stream of a task slice
+    tasks: Callable[[int, int], list] = lambda n, k: _space_tasks(n)  # at sizes n and k
+    size: Callable[[int], int] = lambda max_n: max_n  # the suite's n
+    suite_drops: tuple[str, ...] = ()  # witness keys the suite leaves out
+    hypothesis: Optional[str] = None  # the extra count of instances meeting it
 
 
-def _law_stream(law: str, n: int, k: int, allow_indet: bool = False) -> tuple[Callable, list]:
-    """The law's instance stream, as a function of a slice of its tasks, and
-    its tasks at universe size n: every space with up to n elements, or for
-    P41/P42 every k-element carrier of the n-element universe."""
-    if law not in COUNTEREXAMPLE_LAWS:
+def _approx_law(law: str) -> _SweepLaw:
+    """Every pair of subsets of every space with up to n elements."""
+    return _SweepLaw(lambda allow_indet: partial(_approx_stream, law))
+
+
+_SWEEP_LAWS = {
+    **{law: _approx_law(law) for law in APPROX_LAWS},
+    # every total table on the universe of each space with up to min(max_n, 2) elements
+    "P22": _SweepLaw(lambda allow_indet: _p22_stream, size=partial(min, 2),
+                     suite_drops=("failed",), hypothesis="congruent_instances"),
+    "P31": _approx_law("P31"),
+    # every table and pair of self-maps of each k-element carrier; the suite at n = k = 2
+    **{law: _SweepLaw(partial(partial, _composition_stream, prop),
+                      lambda n, k: _carriers(canonical_universe(n), k), lambda max_n: 2)
+       for law, prop in (("P41", "p41"), ("P42", "p42"))},
+}
+COUNTEREXAMPLE_LAWS = tuple(_SWEEP_LAWS)
+
+
+def _sweep_law(law: str) -> _SweepLaw:
+    if law not in _SWEEP_LAWS:
         raise ValueError(f"no registered relation named {law!r}")
-    if law in ("P41", "P42"):
-        carriers = _carriers(canonical_universe(n), k)
-        return partial(_composition_stream, law.lower(), allow_indet), carriers
-    return (_p22_stream if law == "P22" else partial(_approx_stream, law)), _space_tasks(n)
+    return _SWEEP_LAWS[law]
 
 
 # reducers
@@ -466,9 +494,9 @@ def find_counterexample(law: str, bounds: SearchSpec) -> FindOutcome:
     law's suite counts as instances: subset pairs, or checked mapping pairs
     for P41 and P42.
     """
-    stream_fn, tasks = _law_stream(law, bounds.universe_size, bounds.carrier_size,
-                                   bounds.allow_indet)
-    return FindOutcome(law, *_first(stream_fn(tasks), bounds.budget))
+    record = _sweep_law(law)
+    tasks = record.tasks(bounds.universe_size, bounds.carrier_size)
+    return FindOutcome(law, *_first(record.stream(bounds.allow_indet)(tasks), bounds.budget))
 
 
 @dataclass(frozen=True)
@@ -481,25 +509,19 @@ class SuiteResult:
 
 
 def law_suite(law: str, max_n: int, jobs: int = 1) -> SuiteResult:
-    """Exhaustive sweep of one law at its sweep size n, on up to `jobs`
-    worker processes; the result does not depend on jobs.
-
-    L1-L9 and P31 check every pair of subsets of every space with up to n
-    elements, P22 also every total table on its universe, and P41/P42 every
-    table and pair of self-maps on the n-element universe.
+    """Exhaustive sweep of one law at its sweep size n, with the whole
+    n-element universe as the carrier, on up to `jobs` worker processes;
+    the result does not depend on jobs.
     """
     if not 1 <= max_n <= MAX_UNIVERSE:
         raise SizeOutOfRangeError(f"max_n must be 1..{MAX_UNIVERSE}")
-    n = {"P22": min(max_n, 2), "P41": 2, "P42": 2}.get(law, max_n)  # the law's sweep size
-    stream_fn, tasks = _law_stream(law, n, n)
-    parts = _pmap(_count, [(stream_fn, part) for part in _split(tasks, jobs)], jobs)
+    record = _sweep_law(law)
+    n = record.size(max_n)
+    stream_fn = record.stream(False)
+    parts = _pmap(_count, [(stream_fn, part) for part in _split(record.tasks(n, n), jobs)], jobs)
     instances = sum(p[0] for p in parts)
     failures = sum(p[1] for p in parts)
     first = next((p[2] for p in parts if p[2] is not None), None)
     extra = {name: sum(p[3][name] for p in parts) for name in parts[0][3]}
-    if law == "P22" and first is not None:
-        del first["failed"]
-    if law in ("P41", "P42"):  # n ** (n * n) tables, each with (n ** n) ** 2 map pairs
-        tables = len(tasks) * n ** (n * n)
-        extra = {"tables": tables, "skipped_pairs": tables * n ** (2 * n) - instances}
+    first = first and {k: v for k, v in first.items() if k not in record.suite_drops}
     return SuiteResult(law, instances, failures, first, tuple(extra.items()))

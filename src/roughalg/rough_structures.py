@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .approx import ApproxSpace, Subset, _law_bad, _Memo, approximate
+from .approx import ApproxSpace, Subset, _LAW_BAD, _Memo, approximate
 from .algebra import INDET, OpTable
 from .errors import EmptySubsetError, NotInCarrierError, UniverseMismatchError
 
@@ -152,7 +152,7 @@ def check_intersection_relations(space: ApproxSpace, a: Subset, b: Subset) -> In
     ua, ub, uab = (Subset(u, upper[m]) for m in (a.mask, b.mask, a.mask & b.mask))
 
     def incl(law: str, lhs: Subset) -> ConditionCheck:
-        bad = Subset(u, _law_bad(law, lower, upper, u.full_mask(), a.mask, b.mask))
+        bad = Subset(u, _LAW_BAD[law](lower, upper, u.full_mask(), a.mask, b.mask))
         return ConditionCheck(not bad, len(lhs) - len(bad), len(bad), 0,
                               tuple((x,) for x in bad.labels()))
 

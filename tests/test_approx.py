@@ -25,7 +25,7 @@ from roughalg.errors import (
 )
 
 from roughalg import approx
-from roughalg.approx import _law_bad, _lower_upper, _Memo, _witness
+from roughalg.approx import _LAW_BAD, _lower_upper, _Memo, _witness
 
 from conftest import approx_law_oracle, blocks_from_rgs, naive_approx, random_rgs
 
@@ -190,7 +190,7 @@ def test_law_kernel_matches_oracle_exhaustive(law):
             lower, upper = zip(*(_lower_upper(space, m) for m in range(1 << n)))
             for x in range(1 << n):
                 for y in range(1 << n):
-                    bad = _law_bad(law, lower, upper, u.full_mask(), x, y)
+                    bad = _LAW_BAD[law](lower, upper, u.full_mask(), x, y)
                     want = approx_law_oracle(blocks, set(u.labels), law, labels[x], labels[y])
                     assert set(Subset(u, bad).labels()) == want, (space, x, y)
                     assert _witness(u, bad) == min(want, key=u.index, default=None)
@@ -207,7 +207,7 @@ def test_lazy_law_kernel_matches_oracle(n, seed, law):
     x, y = Subset(u, rng.getrandbits(n)), Subset(u, rng.getrandbits(n))
     want = approx_law_oracle([set(b.labels()) for b in blocks], set(u.labels), law,
                              set(x.labels()), set(y.labels()))
-    bad = _law_bad(law, _Memo(space, 0), _Memo(space, 1), u.full_mask(), x.mask, y.mask)
+    bad = _LAW_BAD[law](_Memo(space, 0), _Memo(space, 1), u.full_mask(), x.mask, y.mask)
     assert set(Subset(u, bad).labels()) == want
     if law != "P31":
         chk = check_approx_law(space, law, x, y)

@@ -1,11 +1,14 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import roughalg
 from roughalg import EXAMPLE31_RAS
 from roughalg.cli import build_parser, main
 from roughalg.enumeration import COUNTEREXAMPLE_LAWS
@@ -208,12 +211,12 @@ def test_jobs_do_not_change_output(capsys):
 
 
 def test_jobs_bounded_before_any_pool(capsys, monkeypatch):
-    from roughalg import enumeration
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     laws = ["laws", "--max-n", "2", "--law", "L4"]
     for bad in ("0", "-1", "two", str((os.cpu_count() or 1) + 1)):
         for argv in (["--jobs", bad] + laws, laws + ["--jobs", bad]):
@@ -221,6 +224,15 @@ def test_jobs_bounded_before_any_pool(capsys, monkeypatch):
                 main(argv)
             assert exc.value.code == 2
             assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the process pool's modules load only when a sweep runs on several jobs
+    src = str(Path(roughalg.__file__).resolve().parents[1])
+    code = "import sys, roughalg.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_bad_require_syntax(capsys):

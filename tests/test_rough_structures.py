@@ -18,7 +18,7 @@ from roughalg import (
     make_universe,
     search,
 )
-from roughalg.approx import _law_bad, _lower_upper, _witness
+from roughalg.approx import _LAW_BAD, _lower_upper, _witness
 from roughalg.errors import EmptySubsetError, NotInCarrierError
 
 from conftest import blocks_from_rgs, random_rgs, table_dict
@@ -194,7 +194,7 @@ def test_intersection_sup_is_the_p31_kernel():
             for a in range(1 << n):
                 for b in range(1 << n):
                     sup = check_intersection_relations(space, Subset(u, a), Subset(u, b)).sup
-                    bad = _law_bad("P31", lower, upper, u.full_mask(), a, b)
+                    bad = _LAW_BAD["P31"](lower, upper, u.full_mask(), a, b)
                     first = sup.witnesses[0][0] if sup.witnesses else None
                     assert (sup.holds, first) == (bad == 0, _witness(u, bad)), (space, a, b)
 
