@@ -65,10 +65,15 @@ def _commands() -> list[list[str]]:
         ["check", "rough-semigroup", RAS, "--space", "P", "--table", "TA", "--ambient", "C"],
         ["check", "rough-subsemigroup", RAS, "--space", "P", "--table", "C", "--subset", "A"],
     ]
+    # the 19,310-hit n=3, k=3 scan, where rendering the hits outweighs
+    # finding them
+    base.append(n3k3 + ["--require", "C4=AllFalse"] + FULL)
     # the two n = 6 sweeps, text only: L4 holds throughout, P31 pins a
     # first-failure witness
     text_only = [["laws", "--max-n", "6", "--law", law] for law in ("L4", "P31")]
-    return base + [["--json"] + argv for argv in base] + text_only
+    # a scan with no hits, which prints "hits": []
+    json_only = [["--json"] + n4k3 + ["--require", "C4=AllFalse", "--budget", "30000"]]
+    return base + [["--json"] + argv for argv in base] + text_only + json_only
 
 
 def _stdout_digest(argv: list[str]) -> str:
