@@ -18,7 +18,7 @@ from typing import Optional
 
 from .approx import ApproxSpace, approximate, space_from_partition
 from .algebra import TABLE_LAWS, classify
-from .enumeration import COUNTEREXAMPLE_LAWS, SearchSpec, law_suite, search
+from .enumeration import _SWEEP_LAWS, COUNTEREXAMPLE_LAWS, SearchSpec, law_suite, search
 from .errors import RoughAlgError
 from .fixtures import audit_paper, find_approx_claim
 from .morphisms import check_anti_group_hom, check_hom, check_rough_hom
@@ -46,7 +46,8 @@ def _global_flags(top_level: bool) -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=d(False),
                         help="emit a machine-readable report")
     common.add_argument("--jobs", type=_jobs, default=d(1), metavar="N",
-                        help="parallel workers for search/laws sweeps (1..CPU count)")
+                        help="worker processes for search and for laws suites of more than one "
+                             "task; P41/P42 at n = k have one (1..CPU count)")
     common.add_argument("--assert", dest="assert_", action="store_true", default=d(False),
                         help="exit 1 on false verdicts or discrepancies")
     common.add_argument("--verbose", action="store_true", default=d(False),
@@ -105,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("laws", parents=[common], help="exhaustive law suites")
     sp.set_defaults(run=_cmd_laws)
+    own = ", ".join(f"{law} n = {r.size(6)}" for law, r in _SWEEP_LAWS.items() if r.size(6) != 6)
     sp.add_argument("--max-n", type=int, default=4, choices=range(1, 7), metavar="N",
-                    help="universe size ceiling for L1-L9 and P31 (P22 caps at 2; P41/P42 run at 2)")
+                    help=f"universe size ceiling for the sweeps (at 6: {own})")
     sp.add_argument("--law", default=None, choices=COUNTEREXAMPLE_LAWS)
 
     sp = sub.add_parser("search", parents=[common], help="scan tables for law profiles")
@@ -149,7 +151,7 @@ def _space(scenario: Scenario, name: str) -> ApproxSpace:
     return space_from_partition(_named(scenario, "partitions", name).partition)
 
 
-# subcommand handlers returning (report-dict, text-lines, assert-failed)
+# subcommand handlers returning (report, text-lines, assert-failed); a str report is printed as is
 
 
 def _cmd_parse(args) -> tuple[dict, list[str], bool]:
@@ -353,7 +355,7 @@ def _cmd_laws(args) -> tuple[dict, list[str], bool]:
     return report, text, failed
 
 
-def _cmd_search(args) -> tuple[dict, list[str], bool]:
+def _cmd_search(args) -> tuple[Optional[str], list[str], bool]:
     # (LAW, STATUS) from each LAW=STATUS; SearchSpec rejects unknown names
     requirements = tuple(item.partition("=")[::2] for item in args.require)
     try:
@@ -367,20 +369,6 @@ def _cmd_search(args) -> tuple[dict, list[str], bool]:
     except ValueError as e:
         raise CliInputError(f"bad --require, use LAW=STATUS: {e}") from e
     outcome = search(spec, jobs=args.jobs)
-    hits_json = []
-    text = []
-    for hit in outcome.hits:
-        pj, tj = partition_json(hit.space.partition), table_json(hit.table)
-        hits_json.append({"index": hit.index, "partition": pj, "table": tj})
-        text.append(f"hit (index {hit.index}):")
-        text.append("  partition: " + " ".join("{" + " ".join(b) + "}" for b in pj))
-        text.append("  carrier: {" + " ".join(tj["carrier"]) + "}")
-        for lab, row in zip(tj["carrier"], tj["rows"]):
-            text.append(f"    {lab} : " + " ".join(row))
-    text.append(f"hits = {len(outcome.hits)}")
-    text.append(f"examined = {outcome.examined} / {outcome.total}")
-    text.append(f"limit_reached = {str(outcome.limit_reached).lower()}")
-    text.append(f"budget_exhausted = {str(outcome.budget_exhausted).lower()}")
     report = {
         "kind": "search",
         "universe_size": args.universe_size,
@@ -388,13 +376,46 @@ def _cmd_search(args) -> tuple[dict, list[str], bool]:
         "requirements": [list(r) for r in requirements],
         "limit": args.limit,
         "budget": args.budget,
-        "hits": hits_json,
+        "hits": None,
         "examined": outcome.examined,
         "total": outcome.total,
         "limit_reached": outcome.limit_reached,
         "budget_exhausted": outcome.budget_exhausted,
     }
-    return report, text, False
+    if args.json:
+        return _splice_hits(report, _render_hits(outcome.hits, True)), [], False
+    return None, _render_hits(outcome.hits, False) + [
+        f"hits = {len(outcome.hits)}", f"examined = {outcome.examined} / {outcome.total}",
+        f"limit_reached = {str(outcome.limit_reached).lower()}",
+        f"budget_exhausted = {str(outcome.budget_exhausted).lower()}"], False
+
+
+def _render_hits(hits, as_json: bool) -> list[str]:
+    """Each hit's text lines, or its JSON object indented as in the printed
+    report, one string per hit.  Hits share one space per partition and one
+    table per rest, so each distinct one is rendered once, by identity."""
+    if as_json:
+        fmt = '    {{\n      "index": {},\n      "partition": {},\n      "table": {}\n    }}'
+        part = tab = lambda j: json.dumps(j, indent=2, sort_keys=True).replace("\n", "\n      ")
+    else:
+        fmt = "hit (index {}):\n  partition: {}\n  carrier: {}"
+        part = lambda pj: " ".join("{" + " ".join(b) + "}" for b in pj)
+        tab = lambda tj: "{" + " ".join(tj["carrier"]) + "}" + "".join(
+            f"\n    {lab} : " + " ".join(row) for lab, row in zip(tj["carrier"], tj["rows"]))
+    memo: dict[int, str] = {}
+    for hit in hits:
+        if id(hit.space) not in memo:
+            memo[id(hit.space)] = part(partition_json(hit.space.partition))
+        if id(hit.table) not in memo:
+            memo[id(hit.table)] = tab(table_json(hit.table))
+    return [fmt.format(h.index, memo[id(h.space)], memo[id(h.table)]) for h in hits]
+
+
+def _splice_hits(report: dict, hits: list[str]) -> str:
+    """The printed report, its null "hits" replaced by the rendered hits (the
+    keys sorted before "hits" hold integers, so the first match is the key)."""
+    array = "[\n" + ",\n".join(hits) + "\n  ]" if hits else "[]"
+    return json.dumps(report, indent=2, sort_keys=True).replace('"hits": null', '"hits": ' + array, 1)
 
 
 def _cmd_audit(args) -> tuple[dict, list[str], bool]:
@@ -438,10 +459,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         traceback.print_exc()
         return 3
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in text:
-            print(line)
+        sys.stdout.write("".join(f"{line}\n" for line in text))
     if args.verbose:
         print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return 1 if args.assert_ and failed else 0
