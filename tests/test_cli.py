@@ -9,10 +9,10 @@ import jsonschema
 import pytest
 
 import roughalg
-from roughalg import EXAMPLE31_RAS
-from roughalg.cli import build_parser, main
-from roughalg.enumeration import COUNTEREXAMPLE_LAWS
-from roughalg.report import REPORT_SCHEMA
+from roughalg import EXAMPLE31_RAS, SearchSpec, search
+from roughalg.cli import _render_hits, _splice_hits, build_parser, main
+from roughalg.enumeration import _SWEEP_LAWS, COUNTEREXAMPLE_LAWS
+from roughalg.report import REPORT_SCHEMA, partition_json, table_json
 
 
 @pytest.fixture()
@@ -133,11 +133,22 @@ def test_laws_default_runs_every_suite(capsys):
     assert "P41: 0 failures" in out and "P42: 0 failures" in out
 
 
-def test_laws_choices_are_the_library_laws():
+def _laws_option(dest: str) -> argparse.Action:
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    law = next(a for a in sub.choices["laws"]._actions if a.dest == "law")
-    assert tuple(law.choices) == COUNTEREXAMPLE_LAWS
+    return next(a for a in sub.choices["laws"]._actions if a.dest == dest)
+
+
+def test_laws_choices_are_the_library_laws():
+    assert tuple(_laws_option("law").choices) == COUNTEREXAMPLE_LAWS
+
+
+def test_max_n_help_names_each_own_sweep_size():
+    help_text = _laws_option("max_n").help
+    capped = {law: r.size(6) for law, r in _SWEEP_LAWS.items() if r.size(6) != 6}
+    assert capped                        # P22, P41 and P42 today
+    for law, n in capped.items():
+        assert f"{law} n = {n}" in help_text
 
 
 def test_approx_note_absent_off_fixture(capsys, tmp_path):
@@ -244,6 +255,63 @@ def test_bad_require_syntax(capsys):
 def test_verbose_goes_to_stderr(capsys, ras):
     rc, out, err = run(capsys, ["--verbose", "parse", ras])
     assert rc == 0 and "elapsed" in err and "elapsed" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--universe-size", "3", "--carrier-size", "2", "--require", "C4=AllFalse",
+     "--limit", "1000000", "--budget", "1000000"],
+    ["--json", "search", "--universe-size", "3", "--carrier-size", "2",
+     "--require", "C4=AllFalse", "--limit", "1000000", "--budget", "1000000"],
+    ["laws", "--max-n", "2"],
+    ["--json", "laws", "--max-n", "2"],
+], ids=" ".join)
+def test_verbose_leaves_stdout_unchanged(capsys, argv):
+    quiet = run(capsys, argv)
+    loud = run(capsys, argv + ["--verbose"])
+    assert quiet[:2] == loud[:2] and quiet[2] == "" and "elapsed" in loud[2]
+
+
+# The CLI's former per-hit rendering, the oracle for _render_hits and
+# _splice_hits: every hit's text lines and JSON object, from partition_json
+# and table_json each time.
+def _per_hit_render(hits) -> tuple[list[str], list[dict]]:
+    text, objects = [], []
+    for hit in hits:
+        pj, tj = partition_json(hit.space.partition), table_json(hit.table)
+        objects.append({"index": hit.index, "partition": pj, "table": tj})
+        text.append(f"hit (index {hit.index}):")
+        text.append("  partition: " + " ".join("{" + " ".join(b) + "}" for b in pj))
+        text.append("  carrier: {" + " ".join(tj["carrier"]) + "}")
+        for lab, row in zip(tj["carrier"], tj["rows"]):
+            text.append(f"    {lab} : " + " ".join(row))
+    return text, objects
+
+
+FULL_SCAN = {"limit": 10**6, "budget": 10**6}
+
+
+@pytest.mark.parametrize("spec, jobs", [
+    # indeterminate cells, which the CLI cannot ask for, print as "?"
+    (SearchSpec(3, 2, allow_indet=True, law_constraints=(("C4", "AllFalse"),), **FULL_SCAN), 1),
+    (SearchSpec(3, 3, law_constraints=(("C4", "AllFalse"),), limit=1), 1),
+    (SearchSpec(2, 2, law_constraints=(("C1", "AllTrue"), ("C1", "AllFalse")), **FULL_SCAN), 1),
+    (SearchSpec(3, 2, law_constraints=(("C4", "AllFalse"),), **FULL_SCAN), 2),
+], ids=["indeterminate", "limit-1", "no-hits", "jobs-2"])
+def test_rendered_hits_match_per_hit_render(spec, jobs):
+    outcome = search(spec, jobs=jobs)
+    text, objects = _per_hit_render(outcome.hits)
+    assert "\n".join(_render_hits(outcome.hits, False)) == "\n".join(text)
+    report = {"kind": "search", "universe_size": spec.universe_size,
+              "carrier_size": spec.carrier_size,
+              "requirements": [list(r) for r in spec.law_constraints],
+              "limit": spec.limit, "budget": spec.budget, "hits": None,
+              "examined": outcome.examined, "total": outcome.total,
+              "limit_reached": outcome.limit_reached,
+              "budget_exhausted": outcome.budget_exhausted}
+    spliced = _splice_hits(report, _render_hits(outcome.hits, True))
+    assert spliced == json.dumps({**report, "hits": objects}, indent=2, sort_keys=True)
+    jsonschema.validate(json.loads(spliced), REPORT_SCHEMA)
+    assert ("?" in spliced) == spec.allow_indet
 
 
 def test_rough_kind_needs_spaces(capsys, morph_ras):
