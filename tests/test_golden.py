@@ -42,6 +42,8 @@ def _commands() -> list[list[str]]:
     base += [["laws", "--max-n", "1", "--law", law] for law in LAWS]
     base += [["laws", "--max-n", "6", "--law", law] for law in ("P22", "P41", "P42")]
     base += [["laws", "--max-n", "5", "--law", law] for law in APPROX_SUITES]
+    # every suite in one report, at the default --max-n, around it and at 6
+    base += [["laws", "--max-n", n] for n in ("2", "4", "6")]
     for n in ("2", "3"):
         scan = ["search", "--universe-size", n, "--carrier-size", "2",
                 "--require", "C4=AllFalse"]
