@@ -18,7 +18,7 @@ from typing import Optional
 
 from .approx import ApproxSpace, approximate, space_from_partition
 from .algebra import TABLE_LAWS, classify
-from .enumeration import _SWEEP_LAWS, COUNTEREXAMPLE_LAWS, SearchSpec, law_suite, search
+from .enumeration import _SWEEP_LAWS, COUNTEREXAMPLE_LAWS, MAX_LAWS_N, SearchSpec, law_suite, search
 from .errors import RoughAlgError
 from .fixtures import audit_paper, find_approx_claim
 from .morphisms import check_anti_group_hom, check_hom, check_rough_hom
@@ -46,8 +46,8 @@ def _global_flags(top_level: bool) -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=d(False),
                         help="emit a machine-readable report")
     common.add_argument("--jobs", type=_jobs, default=d(1), metavar="N",
-                        help="worker processes for search and for laws suites of more than one "
-                             "task; P41/P42 at n = k have one (1..CPU count)")
+                        help="worker processes for search and for P22 sweeps of more than one "
+                             "task; no other laws suite starts workers (1..CPU count)")
     common.add_argument("--assert", dest="assert_", action="store_true", default=d(False),
                         help="exit 1 on false verdicts or discrepancies")
     common.add_argument("--verbose", action="store_true", default=d(False),
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("laws", parents=[common], help="exhaustive law suites")
     sp.set_defaults(run=_cmd_laws)
     own = ", ".join(f"{law} n = {r.size(6)}" for law, r in _SWEEP_LAWS.items() if r.size(6) != 6)
-    sp.add_argument("--max-n", type=int, default=4, choices=range(1, 7), metavar="N",
-                    help=f"universe size ceiling for the sweeps (at 6: {own})")
+    sp.add_argument("--max-n", type=int, default=4, choices=range(1, MAX_LAWS_N + 1), metavar="N",
+                    help=f"universe size ceiling for the sweeps, 1..{MAX_LAWS_N} (at 6: {own})")
     sp.add_argument("--law", default=None, choices=COUNTEREXAMPLE_LAWS)
 
     sp = sub.add_parser("search", parents=[common], help="scan tables for law profiles")

@@ -5,15 +5,15 @@ string, then carrier combination, then table cells row-major, then mapping
 graph), so searches are reproducible and the space can be split into
 ranges across workers without changing the output.
 
-A law sweep is stream -> reducer -> `_pmap`.  Each law family has one
-instance stream over a slice of its tasks, yielding per instance a falsy
-item if it holds, else a callable that builds the witness, and returning
-any extra counts: `_approx_stream` for L1-L9 and P31, `_p22_stream`, and
-`_composition_stream` for P41/P42.  A `_SweepLaw` record per law of
-COUNTEREXAMPLE_LAWS holds its stream, tasks, sweep size and hypothesis.
-`_count` reduces a stream for `law_suite`, `_first` for
-`find_counterexample` under a budget.  `_pmap` runs the slices, on worker
-processes when jobs > 1, and returns results in task order.
+Each law family has one instance stream over a slice of its tasks,
+yielding per instance a falsy item if it holds, else a callable that
+builds the witness, and returning any extra counts: `_approx_stream` for
+L1-L9 and P31, `_p22_stream`, and `_composition_stream` for P41/P42.  A
+`_SweepLaw` record per law of COUNTEREXAMPLE_LAWS holds its stream, tasks,
+sweep size and hypothesis.  `_first` reduces a stream for
+`find_counterexample` under a budget; `_count` for the P22/P41/P42 suites,
+on the slices `_pmap` runs in task order, on worker processes if jobs > 1.
+The L1-L9/P31 suites are counted per block (`_block_count`).
 
 `search` maps `_scan` over ranges of (carrier, table) rests the same way.
 Law constraints see only a candidate's rest, so each rest is checked once,
@@ -21,7 +21,7 @@ on raw cells, by the one worker whose range holds it; `_scan` replays the
 passing rests across partitions and returns hit indices, from which
 `search` builds the hits.
 
-Size caps: universes up to 6 elements, table carriers up to 4.
+Size caps: universes up to 6 elements, table carriers up to 4, laws suites 16.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from math import comb, prod
 from typing import Callable, Iterator, Optional, Sequence
 
 from .approx import (
@@ -53,12 +54,20 @@ from .rough_structures import check_rough_anti_semigroup
 
 MAX_UNIVERSE = 6
 MAX_TABLE_CARRIER = 4
+MAX_LAWS_N = 16
 
-_BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+
+def _partition_sums(weight: list[int]) -> list[int]:
+    """For each n < len(weight), the sum over the set partitions of n elements of
+    the product of weight[|B|] over their blocks B, by the block B of element n."""
+    sums = [1]
+    for n in range(1, len(weight)):
+        sums.append(sum(comb(n - 1, b - 1) * weight[b] * sums[n - b] for b in range(1, n + 1)))
+    return sums
 
 
 def bell_number(n: int) -> int:
-    return _BELL[n]
+    return _partition_sums([1] * (n + 1))[n]
 
 
 def canonical_universe(n: int) -> Universe:
@@ -413,11 +422,27 @@ class _SweepLaw:
     size: Callable[[int], int] = lambda max_n: max_n  # the suite's n
     suite_drops: tuple[str, ...] = ()  # witness keys the suite leaves out
     hypothesis: Optional[str] = None  # the extra count of instances meeting it
+    block_good: Optional[Callable[[int], int]] = None  # b -> passing pairs on a b-element block
+
+
+def _good_pairs(law: str, b: int) -> int:
+    """The (X, Y) pairs on a one-block space of b elements where the law holds.
+    An element is in neither set, X only, Y only or both (states 0-3).  A
+    block-local law holds iff it does on one element per state that occurs."""
+    good = 0
+    for occurring in range(1, 16):  # the states S that occur, as bits; pairs: surjections onto S
+        states = [st for st in range(4) if occurring >> st & 1]
+        s, full = len(states), (1 << len(states)) - 1
+        x, y = (sum(1 << i for i, st in enumerate(states) if st & bit) for bit in (1, 2))
+        if not _LAW_BAD[law]([0] * full + [full], [0] + [full] * full, full, x, y):
+            good += sum((-1) ** j * comb(s, j) * (s - j) ** b for j in range(s + 1))
+    return good
 
 
 def _approx_law(law: str) -> _SweepLaw:
     """Every pair of subsets of every space with up to n elements."""
-    return _SweepLaw(lambda allow_indet: partial(_approx_stream, law))
+    return _SweepLaw(lambda allow_indet: partial(_approx_stream, law),
+                     block_good=partial(_good_pairs, law))
 
 
 _SWEEP_LAWS = {
@@ -508,17 +533,31 @@ class SuiteResult:
     extra: tuple[tuple[str, int], ...] = ()
 
 
+def _block_count(record: _SweepLaw, max_n: int) -> tuple[int, int, dict | None, dict]:
+    """`_count` of a block-local law over the spaces of up to max_n elements; a space's
+    passing pairs are the product of its blocks' `block_good`.  Streams one space."""
+    good = [record.block_good(b) for b in range(max_n + 1)]
+    every, passing = _partition_sums([4 ** b for b in range(max_n + 1)]), _partition_sums(good)
+    n = next((n for n in range(1, max_n + 1) if passing[n] < every[n]), None)
+    first = None
+    if n:
+        pidx = next(p for p, rgs in enumerate(rgs_strings(n))
+                    if prod(good[rgs.count(b)] for b in range(max(rgs) + 1)) < 4 ** n)
+        first = _first(record.stream(False)([(n, pidx)]), 4 ** n)[1]
+    return sum(every) - 1, sum(every) - sum(passing), first, {}
+
+
 def law_suite(law: str, max_n: int, jobs: int = 1) -> SuiteResult:
     """Exhaustive sweep of one law at its sweep size n, with the whole
-    n-element universe as the carrier, on up to `jobs` worker processes;
-    the result does not depend on jobs.
+    n-element universe as the carrier; a law without `block_good` streams on
+    up to `jobs` worker processes.  The result does not depend on jobs.
     """
-    if not 1 <= max_n <= MAX_UNIVERSE:
-        raise SizeOutOfRangeError(f"max_n must be 1..{MAX_UNIVERSE}")
+    if not 1 <= max_n <= MAX_LAWS_N:
+        raise SizeOutOfRangeError(f"max_n must be 1..{MAX_LAWS_N}")
     record = _sweep_law(law)
     n = record.size(max_n)
-    stream_fn = record.stream(False)
-    parts = _pmap(_count, [(stream_fn, part) for part in _split(record.tasks(n, n), jobs)], jobs)
+    parts = [_block_count(record, n)] if record.block_good else _pmap(
+        _count, [(record.stream(False), part) for part in _split(record.tasks(n, n), jobs)], jobs)
     instances = sum(p[0] for p in parts)
     failures = sum(p[1] for p in parts)
     first = next((p[2] for p in parts if p[2] is not None), None)

@@ -237,6 +237,19 @@ def test_jobs_bounded_before_any_pool(capsys, monkeypatch):
             assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("law", ["L4", "P31"])
+def test_counted_laws_suites_start_no_pool(capsys, monkeypatch, law):
+    # L1-L9/P31 suites are counted in process whatever --jobs says
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rc, out, _ = run(capsys, ["--jobs", "2", "laws", "--max-n", "5", "--law", law])
+    assert rc == 0 and "57444 instances checked" in out
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # the process pool's modules load only when a sweep runs on several jobs
     src = str(Path(roughalg.__file__).resolve().parents[1])

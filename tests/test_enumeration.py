@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import json
 import pickle
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
+import jsonschema
 import pytest
 
 from roughalg import (
@@ -22,8 +24,12 @@ from roughalg import (
 )
 from roughalg.algebra import STATUSES, TABLE_LAWS
 from roughalg import enumeration
-from roughalg.enumeration import COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, _scan, law_suite
+from roughalg.approx import _LAW_BAD, _lower_upper
+from roughalg.cli import main
+from roughalg.enumeration import (COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, _approx_stream,
+                                  _count, _scan, _space_tasks, bell_number, law_suite)
 from roughalg.errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
+from roughalg.report import REPORT_SCHEMA
 
 from conftest import law_counts_oracle, status_oracle
 
@@ -44,6 +50,12 @@ def test_partition_counts_match_bell():
         keys = [tuple(b.mask for b in p.blocks) for p in parts]
         assert len(set(keys)) == len(keys)
         assert keys == [tuple(b.mask for b in p.blocks) for p in enum_partitions(n)]
+
+
+def test_bell_number():
+    assert [bell_number(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    assert bell_number(16) == 10_480_142_147
+    assert all(bell_number(n) == bell_oracle(n) for n in range(17))
 
 
 def test_partition_order_starts_coarse():
@@ -308,11 +320,69 @@ def test_find_counterexample_witness_is_suite_first_failure():
 def test_law_suite_rejects_unknown_law_and_size():
     with pytest.raises(ValueError):
         law_suite("L10", 2)
-    for max_n in (0, 7):
+    for max_n in (0, 17):
         with pytest.raises(SizeOutOfRangeError):
             law_suite("L1", max_n)
         with pytest.raises(SizeOutOfRangeError):
             law_suite("P41", max_n)
+
+
+APPROX_SUITES = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P31")
+
+
+@pytest.mark.parametrize("law", APPROX_SUITES)
+def test_block_counts_match_the_stream(law):
+    # the counted suite against the instance stream it replaces: every
+    # (space, X, Y) visited, the first failure taken in stream order
+    for n in range(1, 6):
+        instances, failures, first, extra = _count(partial(_approx_stream, law), _space_tasks(n))
+        assert law_suite(law, n, jobs=2) == enumeration.SuiteResult(law, instances, failures, first)
+        assert extra == {}
+
+
+@pytest.mark.parametrize("law", APPROX_SUITES)
+def test_law_formulas_are_block_local(law):
+    # the precondition of the block count: on every space with up to 4
+    # elements, a law's offenders inside a block are its offenders on that
+    # block's own one-block space, for every pair of subsets
+    bad = _LAW_BAD[law]
+
+    def tables(space):
+        full = space.universe.full_mask()
+        return (*zip(*(_lower_upper(space, m) for m in range(full + 1))), full)
+
+    for n in range(1, 5):
+        # the first space in RGS order has a single block
+        one_block = {b: tables(next(enum_spaces(b))) for b in range(1, n + 1)}
+        for space in enum_spaces(n):
+            lower, upper, full = tables(space)
+            for block in space.partition.blocks:
+                idx = list(block)
+
+                def squeeze(mask):
+                    return sum(1 << j for j, i in enumerate(idx) if mask >> i & 1)
+
+                b_lower, b_upper, b_full = one_block[len(idx)]
+                for x in range(full + 1):
+                    for y in range(full + 1):
+                        assert squeeze(bad(lower, upper, full, x, y)) == \
+                            bad(b_lower, b_upper, b_full, squeeze(x), squeeze(y)), (space, x, y)
+
+
+def test_p31_counts_beyond_the_stream():
+    # instances = sum over n of Bell(n) * 4^n; failures as counted per block
+    assert [(r.instances, r.failures) for r in (law_suite("P31", 7), law_suite("P31", 8))] == \
+        [(15_257_700, 4_368_978), (286_576_740, 93_060_856)]
+    assert law_suite("P31", 16).first_failure == law_suite("P31", 2).first_failure
+
+
+def test_laws_report_at_max_n_16_validates(capsys):
+    assert main(["--json", "laws", "--max-n", "16"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    p31 = next(s for s in report["suites"] if s["law"] == "P31")
+    assert p31["instances"] == 46_549_981_208_729_669_732 > 2 ** 64
+    assert p31["failures"] == 26_033_356_851_168_457_136 > 2 ** 64
 
 
 def test_find_counterexample_and_law_suite_reject_the_same_names():
