@@ -59,7 +59,7 @@ MAX_LAWS_N = 16
 
 def _partition_sums(weight: list[int]) -> list[int]:
     """For each n < len(weight), the sum over the set partitions of n elements of
-    the product of weight[|B|] over their blocks B, by the block B of element n."""
+    the product of weight[|B|] over their blocks B, by the size of element n's block."""
     sums = [1]
     for n in range(1, len(weight)):
         sums.append(sum(comb(n - 1, b - 1) * weight[b] * sums[n - b] for b in range(1, n + 1)))
@@ -415,27 +415,28 @@ def _composition_stream(prop: str, allow_indet: bool, carriers: list[Subset]):
 
 @dataclass(frozen=True)
 class _SweepLaw:
-    """One sweep law; the defaults are those of L1-L9 and P31, at n = max_n."""
+    """One sweep law; the defaults but `block_good` are those of L1-L9 and P31."""
 
     stream: Callable[[bool], Callable]  # allow_indet -> picklable stream of a task slice
     tasks: Callable[[int, int], list] = lambda n, k: _space_tasks(n)  # at sizes n and k
     size: Callable[[int], int] = lambda max_n: max_n  # the suite's n
     suite_drops: tuple[str, ...] = ()  # witness keys the suite leaves out
     hypothesis: Optional[str] = None  # the extra count of instances meeting it
-    block_good: Optional[Callable[[int], int]] = None  # b -> passing pairs on a b-element block
+    block_good: Optional[Callable[[int], list]] = None  # n -> passing pairs on blocks of 0..n
 
 
-def _good_pairs(law: str, b: int) -> int:
-    """The (X, Y) pairs on a one-block space of b elements where the law holds.
-    An element is in neither set, X only, Y only or both (states 0-3).  A
-    block-local law holds iff it does on one element per state that occurs."""
-    good = 0
-    for occurring in range(1, 16):  # the states S that occur, as bits; pairs: surjections onto S
+def _good_pairs(law: str, max_n: int) -> list[int]:
+    """For b = 0..max_n, the (X, Y) pairs on a one-block space of b elements where the
+    law holds: the surjections of the elements onto each set S of states (neither, X,
+    Y, both) where it holds for one element per state, which suffices if block-local."""
+    good = [0] * (max_n + 1)
+    for occurring in range(1, 16):  # S, as a set of bits
         states = [st for st in range(4) if occurring >> st & 1]
         s, full = len(states), (1 << len(states)) - 1
         x, y = (sum(1 << i for i, st in enumerate(states) if st & bit) for bit in (1, 2))
         if not _LAW_BAD[law]([0] * full + [full], [0] + [full] * full, full, x, y):
-            good += sum((-1) ** j * comb(s, j) * (s - j) ** b for j in range(s + 1))
+            good = [g + sum((-1) ** j * comb(s, j) * (s - j) ** b for j in range(s + 1))
+                    for b, g in enumerate(good)]
     return good
 
 
@@ -536,7 +537,7 @@ class SuiteResult:
 def _block_count(record: _SweepLaw, max_n: int) -> tuple[int, int, dict | None, dict]:
     """`_count` of a block-local law over the spaces of up to max_n elements; a space's
     passing pairs are the product of its blocks' `block_good`.  Streams one space."""
-    good = [record.block_good(b) for b in range(max_n + 1)]
+    good = record.block_good(max_n)
     every, passing = _partition_sums([4 ** b for b in range(max_n + 1)]), _partition_sums(good)
     n = next((n for n in range(1, max_n + 1) if passing[n] < every[n]), None)
     first = None
