@@ -383,6 +383,8 @@ def test_laws_report_at_max_n_16_validates(capsys):
     p31 = next(s for s in report["suites"] if s["law"] == "P31")
     assert p31["instances"] == 46_549_981_208_729_669_732 > 2 ** 64
     assert p31["failures"] == 26_033_356_851_168_457_136 > 2 ** 64
+    # Pawlak's properties hold on every space
+    assert all(s["failures"] == 0 for s in report["suites"] if s["law"].startswith("L"))
 
 
 def test_find_counterexample_and_law_suite_reject_the_same_names():
