@@ -119,6 +119,92 @@ def test_diagnostic_expected_sets():
     assert "universe" in e.value.expected
 
 
+_U12 = "universe U = { 1 2 }\n"
+_MAP = _U12 + "set D on U = { 1 }\nset T on U = { 2 }\n"
+_KEYWORDS = ("universe", "partition", "set", "table", "map")
+
+# One input per raise site in roughalg.scenario, with the full diagnostic:
+# (exception type, line, col, message, token, expected).
+_DIAGNOSTICS = [
+    ('lex-control', 'universe U = { a \x01 }',
+     LexError, 1, 18, "control character '\\x01'", '\x01', ()),
+    ('lex-control-after-tab-cr', 'set\t\r\x7f',
+     LexError, 1, 6, "control character '\\x7f'", '\x7f', ()),
+    ('expect-kind', 'universe U { a }',
+     ParseError, 1, 12, "unexpected token '{'", '{', ('=',)),
+    ('expect-kind-what', 'universe U = { a = }',
+     ParseError, 1, 18, "unexpected token '='", '=', ('element or }',)),
+    ('expect-end-of-input', 'universe U = {',
+     ParseError, 1, 15, 'unexpected end of input', '', ('element or }',)),
+    ('expect-atom', 'partition = x',
+     ParseError, 1, 11, "unexpected token '='", '=', ('partition name',)),
+    ('expect-keyword', 'set S in U = { }',
+     ParseError, 1, 7, "unexpected token 'in'", 'in', ('on',)),
+    ('top-level-non-atom', 'universe U = { a }\n}',
+     ParseError, 2, 1, "unexpected token '}'", '}', _KEYWORDS),
+    ('unknown-declaration', 'frobnicate U = { }',
+     ParseError, 1, 1, "unknown declaration 'frobnicate'", 'frobnicate', _KEYWORDS),
+    ('duplicate-name', 'universe U = { a }\nuniverse U = { b }\n',
+     DuplicateNameError, 2, 10, "universe 'U' already declared", 'U', ()),
+    ('unknown-universe', 'set S on V = { }',
+     UnknownReferenceError, 1, 10, "unknown universe 'V'", 'V', ()),
+    ('unknown-set', _MAP + 'map M from D to X = { }',
+     UnknownReferenceError, 4, 17, "unknown set 'X'", 'X', ()),
+    ('element-not-in-universe', 'universe U = { 1 }\nset S on U = { 2 }\n',
+     ValidationError, 2, 16, "element '2' not in universe", '2', ()),
+    ('carrier-twice', _U12 + 'table T on U carrier { 1 1 } = { }',
+     ValidationError, 2, 26, "carrier lists '1' twice", '1', ()),
+    ('carrier-empty', _U12 + 'table T on U carrier { } = { }',
+     ValidationError, 2, 1, 'carrier is empty', None, ()),
+    ('row-label-not-in-carrier', _U12 + 'table T on U carrier { 1 } = { 2 : 1 }',
+     ValidationError, 2, 32, "row label '2' not in carrier", '2', ()),
+    ('row-twice', _U12 + 'table T on U carrier { 1 } = { 1 : 1\n  1 : 2 }',
+     ValidationError, 3, 3, "row '1' given twice", '1', ()),
+    ('short-row', _U12 + 'table T on U carrier { 1 2 } = { 1 : 1 }',
+     ArityError, 2, 40, "row '1' has 1 cells; expected 2", '}', ('cell',)),
+    ('long-row', _U12 + 'table T on U carrier { 1 2 } = { 1 : 1 2 ? }',
+     ArityError, 2, 42, "row '1' has more than 2 cells", '?', ()),
+    ('map-domain', _MAP + 'map M from D to T = { 2 -> 2 }',
+     ValidationError, 4, 23, "'2' not in the domain set", '2', ()),
+    ('map-two-images', _MAP + 'map M from D to T = { 1 -> 2 1 -> 2 }',
+     ValidationError, 4, 30, "two images given for '1'", '1', ()),
+    ('map-image-codomain', _MAP + 'map M from D to T = { 1 -> 9 }',
+     ValidationError, 4, 28, "image '9' not in the codomain universe", '9', ()),
+    ('map-domain-outside-universe', _MAP + 'map M from D to T = { 7 -> 2 }',
+     ValidationError, 4, 23, "'7' not in the domain set", '7', ()),
+    ('map-arrow', _MAP + 'map M from D to T = { 1 2 }',
+     ParseError, 4, 25, "unexpected token '2'", '2', ('->',)),
+    ('map-image-atom', _MAP + 'map M from D to T = { 1 -> }',
+     ParseError, 4, 28, "unexpected token '}'", '}', ('image element',)),
+    ('long-row-atom', _U12 + 'table T on U carrier { 1 2 } = { 1 : 1 2 1 }',
+     ArityError, 2, 42, "row '1' has more than 2 cells", '1', ()),
+    ('eof-after-trailing-comment', 'universe U = { a   # no newline',
+     ParseError, 1, 20, 'unexpected end of input', '', ('element or }',)),
+    ('control-character-in-comment', '# \x01\nset',
+     ParseError, 2, 4, 'unexpected end of input', '', ('set name',)),
+    ('make-universe', 'universe U = { a b a }',
+     ValidationError, 1, 1, "duplicate element 'a'", None, ()),
+    ('make-partition', 'universe U = { 1 2 3 }\npartition P on U = { { 1 2 } }\n',
+     ValidationError, 2, 1, 'cover misses {3}', None, ()),
+    ('make-table', _U12 + 'table T on U carrier { 1 2 } = { 1 : 1 2 }',
+     ValidationError, 2, 1, 'no entry for (2, 1)', None, ()),
+    ('make-mapping', _MAP + 'map M from D to T = { }',
+     ValidationError, 4, 1, "no image for '1'", None, ()),
+]
+
+
+@pytest.mark.parametrize("text,exc,line,col,message,token,expected",
+                         [case[1:] for case in _DIAGNOSTICS],
+                         ids=[case[0] for case in _DIAGNOSTICS])
+def test_diagnostic_goldens(text, exc, line, col, message, token, expected):
+    with pytest.raises(ParseError) as e:
+        parse_scenario(text)
+    got = e.value
+    assert type(got) is exc
+    assert (got.line, got.col, got.message, got.token, got.expected) == (
+        line, col, message, token, expected)
+
+
 def test_map_parsing_and_roundtrip():
     text = (
         "universe U = { 1 2 }\n"
