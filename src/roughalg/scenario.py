@@ -1,8 +1,9 @@
 """Parser and serializer for the `.ras` scenario format.
 
-Line-oriented grammar; `#` starts a comment, tokens are whitespace
-separated, and `{ } : = ? ->` self-delimit.  Element atoms are any other
-token.
+Line-oriented grammar.  `#` starts a comment that runs to the end of the
+line; spaces, tabs, CRs and newlines separate tokens; `{ } : = ? ->`
+self-delimit.  An atom is a run of any other characters except control
+characters, which are a lex error outside a comment.
 
     universe NAME = { atom+ }
     partition NAME on UNIV = { { atom+ }+ }
@@ -12,13 +13,16 @@ token.
 
 Table rows are positional: one row per carrier element, cells in carrier
 declaration order; a `?` cell is an indeterminate entry.  Every diagnostic
-carries a 1-based line and column.
+carries a 1-based line and column.  `serialize_scenario` writes a canonical
+form that re-parses to an equal scenario, and refuses any name or label
+that is not one atom.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .approx import Partition, Subset, Universe, make_partition, make_universe
 from .algebra import INDET, OpTable, make_table
@@ -28,7 +32,7 @@ from .report import table_json
 
 
 class ParseError(RoughAlgError):
-    """Diagnostic with position, offending token and expected-token set."""
+    """Diagnostic at line:col, with the offending token and expected set if any."""
 
     def __init__(self, line: int, col: int, message: str,
                  token: str | None = None, expected: tuple[str, ...] = ()):
@@ -73,53 +77,32 @@ class Token(NamedTuple):
     col: int
 
 
-_SPECIALS = "{}:=?"
+# An atom: a run of characters other than blanks, control characters, `#`
+# and `{ } : = ?`, in which no `-` is followed by `>`.
+_ATOM = r"(?:[^{}:=?#\x00-\x20\x7f-]|-(?!>))+"
+# Blanks, then one token: a newline or the end of the text (either after an
+# optional comment), a symbol, an atom, or a stray control character.  The
+# end of the text sits at the `#` of a trailing comment.
+_TOKEN = (r"[ \t\r]*(?:(?P<nl>(?:#[^\n]*)?\n)|(?P<eof>(?:#[^\n]*)?\Z)"
+          r"|(?P<sym>->|[{}:=?])|(?P<atom>" + _ATOM + r")|(?P<bad>.))")
 
 
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _SPECIALS:
-            toks.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ord(c) < 32 or ord(c) == 127:
-            raise LexError(line, col, f"control character {c!r}", token=c)
-        start_col = col
-        j = i
-        while j < n:
-            cj = text[j]
-            if cj in _SPECIALS or cj in " \t\r\n#" or text.startswith("->", j):
-                break
-            if ord(cj) < 32 or ord(cj) == 127:
-                break
-            j += 1
-        toks.append(Token("atom", text[i:j], line, start_col))
-        col += j - i
-        i = j
-    toks.append(Token("eof", "", line, col))
+    line, bol = 1, 0  # bol: offset where the current line begins
+    for m in re.finditer(_TOKEN, text):
+        kind = m.lastgroup
+        value = m[kind]
+        col = m.start(kind) - bol + 1
+        if kind == "nl":
+            line, bol = line + 1, m.end()
+        elif kind == "bad":
+            raise LexError(line, col, f"control character {value!r}", token=value)
+        elif kind == "eof":
+            toks.append(Token("eof", "", line, col))
+            break
+        else:
+            toks.append(Token(value if kind == "sym" else "atom", value, line, col))
     return toks
 
 
@@ -150,20 +133,20 @@ class MapDecl:
 
 @dataclass
 class Scenario:
-    """Named universes, partitions, sets, tables and mappings.
-
-    Equality is structural; source spans are bookkeeping only.
-    """
+    """Named universes, partitions, sets, tables and mappings; equality is
+    structural."""
 
     universes: dict[str, Universe] = field(default_factory=dict)
     partitions: dict[str, PartitionDecl] = field(default_factory=dict)
     sets: dict[str, SetDecl] = field(default_factory=dict)
     tables: dict[str, TableDecl] = field(default_factory=dict)
     mappings: dict[str, MapDecl] = field(default_factory=dict)
-    spans: dict[tuple[str, str], tuple[int, int]] = field(default_factory=dict, compare=False)
 
     def is_empty(self) -> bool:
         return not (self.universes or self.partitions or self.sets or self.tables or self.mappings)
+
+
+_DECLS = ("universe", "partition", "set", "table", "map")
 
 
 class _Parser:
@@ -183,53 +166,34 @@ class _Parser:
             self.pos += 1
         return t
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, what: str | None = None, value: str | None = None) -> Token:
+        """The next token, which must have this kind (and value, if given);
+        the diagnostic expects `what`, else the value, else the kind."""
         t = self.peek()
-        if t.kind != kind:
-            raise ParseError(t.line, t.col, f"unexpected {self._show(t)}",
-                             token=t.value, expected=(what or kind,))
+        if t.kind != kind or (value is not None and t.value != value):
+            shown = "end of input" if t.kind == "eof" else f"token {t.value!r}"
+            raise ParseError(t.line, t.col, f"unexpected {shown}",
+                             token=t.value, expected=(what or value or kind,))
         return self.advance()
-
-    def expect_atom(self, what: str) -> Token:
-        t = self.peek()
-        if t.kind != "atom":
-            raise ParseError(t.line, t.col, f"unexpected {self._show(t)}",
-                             token=t.value, expected=(what,))
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> Token:
-        t = self.peek()
-        if t.kind != "atom" or t.value != word:
-            raise ParseError(t.line, t.col, f"unexpected {self._show(t)}",
-                             token=t.value, expected=(word,))
-        return self.advance()
-
-    @staticmethod
-    def _show(t: Token) -> str:
-        return "end of input" if t.kind == "eof" else f"token {t.value!r}"
 
     # reference and name helpers
 
-    def declare(self, category: str, tok: Token) -> str:
-        table = getattr(self.out, category)
-        if tok.value in table:
+    def declare(self, category: str, what: str) -> str:
+        tok = self.expect("atom", f"{what} name")
+        if tok.value in getattr(self.out, category):
             raise DuplicateNameError(tok.line, tok.col,
                                      f"{category[:-1]} {tok.value!r} already declared",
                                      token=tok.value)
-        self.out.spans[(category, tok.value)] = (tok.line, tok.col)
         return tok.value
 
-    def ref_universe(self, tok: Token) -> Universe:
-        if tok.value not in self.out.universes:
+    def ref(self, category: str, what: str):
+        """Name and declaration of an earlier `what` in `category`."""
+        tok = self.expect("atom", f"{what} name")
+        decls = getattr(self.out, category)
+        if tok.value not in decls:
             raise UnknownReferenceError(tok.line, tok.col,
-                                        f"unknown universe {tok.value!r}", token=tok.value)
-        return self.out.universes[tok.value]
-
-    def ref_set(self, tok: Token) -> SetDecl:
-        if tok.value not in self.out.sets:
-            raise UnknownReferenceError(tok.line, tok.col,
-                                        f"unknown set {tok.value!r}", token=tok.value)
-        return self.out.sets[tok.value]
+                                        f"unknown {what} {tok.value!r}", token=tok.value)
+        return tok.value, decls[tok.value]
 
     def element(self, universe: Universe, tok: Token) -> str:
         if tok.value not in universe:
@@ -237,110 +201,89 @@ class _Parser:
                                   f"element {tok.value!r} not in universe", token=tok.value)
         return tok.value
 
-    # declarations
-
-    def run(self) -> Scenario:
-        while True:
-            t = self.peek()
-            if t.kind == "eof":
-                return self.out
-            if t.kind != "atom":
-                raise ParseError(t.line, t.col, f"unexpected {self._show(t)}",
-                                 token=t.value,
-                                 expected=("universe", "partition", "set", "table", "map"))
-            if t.value == "universe":
-                self.universe_decl()
-            elif t.value == "partition":
-                self.partition_decl()
-            elif t.value == "set":
-                self.set_decl()
-            elif t.value == "table":
-                self.table_decl()
-            elif t.value == "map":
-                self.map_decl()
-            else:
-                raise ParseError(t.line, t.col, f"unknown declaration {t.value!r}",
-                                 token=t.value,
-                                 expected=("universe", "partition", "set", "table", "map"))
-
-    def universe_decl(self) -> None:
-        kw = self.advance()
-        name = self.declare("universes", self.expect_atom("universe name"))
-        self.expect("=")
+    def elements(self, universe: Universe | None = None) -> Iterator[Token]:
+        """Yield the atoms of `{ atom* }`, each checked against `universe`
+        if given; the closing brace is read once the atoms run out."""
         self.expect("{")
-        labels = []
         while self.peek().kind == "atom":
-            labels.append(self.advance().value)
+            t = self.advance()
+            if universe is not None:
+                self.element(universe, t)
+            yield t
         self.expect("}", "element or }")
+
+    def validated(self, kw: Token, build, *args):
+        """build(*args), with a domain error reported at the keyword `kw`."""
         try:
-            self.out.universes[name] = make_universe(labels)
+            return build(*args)
         except RoughAlgError as e:
             raise ValidationError(kw.line, kw.col, str(e)) from e
 
+    # declarations
+
+    def run(self) -> Scenario:
+        while (t := self.peek()).kind != "eof":
+            if t.kind != "atom" or t.value not in _DECLS:
+                what = "unknown declaration" if t.kind == "atom" else "unexpected token"
+                raise ParseError(t.line, t.col, f"{what} {t.value!r}", token=t.value,
+                                 expected=_DECLS)
+            getattr(self, f"{t.value}_decl")()
+        return self.out
+
+    def universe_decl(self) -> None:
+        kw = self.advance()
+        name = self.declare("universes", "universe")
+        self.expect("=")
+        labels = [t.value for t in self.elements()]
+        self.out.universes[name] = self.validated(kw, make_universe, labels)
+
     def partition_decl(self) -> None:
         kw = self.advance()
-        name = self.declare("partitions", self.expect_atom("partition name"))
-        self.expect_keyword("on")
-        utok = self.expect_atom("universe name")
-        universe = self.ref_universe(utok)
+        name = self.declare("partitions", "partition")
+        self.expect("atom", value="on")
+        uname, universe = self.ref("universes", "universe")
         self.expect("=")
         self.expect("{")
         blocks = []
         while self.peek().kind == "{":
-            self.advance()
-            labels = []
-            while self.peek().kind == "atom":
-                labels.append(self.element(universe, self.advance()))
-            self.expect("}", "element or }")
+            labels = [t.value for t in self.elements(universe)]
             blocks.append(Subset.from_labels(universe, labels))
         self.expect("}", "{ or }")
-        try:
-            partition = make_partition(universe, blocks)
-        except RoughAlgError as e:
-            raise ValidationError(kw.line, kw.col, str(e)) from e
-        self.out.partitions[name] = PartitionDecl(utok.value, partition)
+        partition = self.validated(kw, make_partition, universe, blocks)
+        self.out.partitions[name] = PartitionDecl(uname, partition)
 
     def set_decl(self) -> None:
         self.advance()
-        name = self.declare("sets", self.expect_atom("set name"))
-        self.expect_keyword("on")
-        utok = self.expect_atom("universe name")
-        universe = self.ref_universe(utok)
+        name = self.declare("sets", "set")
+        self.expect("atom", value="on")
+        uname, universe = self.ref("universes", "universe")
         self.expect("=")
-        self.expect("{")
-        labels = []
-        while self.peek().kind == "atom":
-            labels.append(self.element(universe, self.advance()))
-        self.expect("}", "element or }")
-        self.out.sets[name] = SetDecl(utok.value, Subset.from_labels(universe, labels))
+        labels = [t.value for t in self.elements(universe)]
+        self.out.sets[name] = SetDecl(uname, Subset.from_labels(universe, labels))
 
     def table_decl(self) -> None:
         kw = self.advance()
-        name = self.declare("tables", self.expect_atom("table name"))
-        self.expect_keyword("on")
-        utok = self.expect_atom("universe name")
-        universe = self.ref_universe(utok)
-        self.expect_keyword("carrier")
-        self.expect("{")
-        carrier_labels: list[str] = []
-        while self.peek().kind == "atom":
-            t = self.advance()
-            lab = self.element(universe, t)
-            if lab in carrier_labels:
-                raise ValidationError(t.line, t.col, f"carrier lists {lab!r} twice", token=lab)
-            carrier_labels.append(lab)
-        self.expect("}", "element or }")
-        if not carrier_labels:
+        name = self.declare("tables", "table")
+        self.expect("atom", value="on")
+        uname, universe = self.ref("universes", "universe")
+        self.expect("atom", value="carrier")
+        carrier: list[str] = []
+        for t in self.elements(universe):
+            if t.value in carrier:
+                raise ValidationError(t.line, t.col, f"carrier lists {t.value!r} twice",
+                                      token=t.value)
+            carrier.append(t.value)
+        if not carrier:
             raise ValidationError(kw.line, kw.col, "carrier is empty")
         self.expect("=")
         self.expect("{")
-        k = len(carrier_labels)
+        k = len(carrier)
         rows: dict[tuple[str, str], str | None] = {}
         seen_rows: set[str] = set()
         while self.peek().kind != "}":
-            label_tok = self.expect_atom("row label or }")
+            label_tok = self.expect("atom", "row label or }")
             row_label = self.element(universe, label_tok)
-            if row_label not in carrier_labels:
+            if row_label not in carrier:
                 raise ValidationError(label_tok.line, label_tok.col,
                                       f"row label {row_label!r} not in carrier", token=row_label)
             if row_label in seen_rows:
@@ -348,65 +291,51 @@ class _Parser:
                                       f"row {row_label!r} given twice", token=row_label)
             seen_rows.add(row_label)
             self.expect(":")
-            for j in range(k):
+            for j, y in enumerate(carrier):
                 t = self.peek()
-                if t.kind == "?":
-                    self.advance()
-                    rows[(row_label, carrier_labels[j])] = INDET
-                elif t.kind == "atom":
-                    self.advance()
-                    rows[(row_label, carrier_labels[j])] = self.element(universe, t)
-                else:
+                if t.kind not in ("?", "atom"):
                     raise ArityError(t.line, t.col,
                                      f"row {row_label!r} has {j} cells; expected {k}",
                                      token=t.value, expected=("cell",))
+                self.advance()
+                rows[(row_label, y)] = INDET if t.kind == "?" else self.element(universe, t)
             t = self.peek()
             if t.kind == "?" or (t.kind == "atom" and self.peek(1).kind != ":"):
                 raise ArityError(t.line, t.col,
                                  f"row {row_label!r} has more than {k} cells", token=t.value)
         self.expect("}")
-        try:
-            table = make_table(universe, Subset.from_labels(universe, carrier_labels), rows)
-        except RoughAlgError as e:
-            raise ValidationError(kw.line, kw.col, str(e)) from e
-        self.out.tables[name] = TableDecl(utok.value, table)
+        table = self.validated(kw, make_table, universe, Subset.from_labels(universe, carrier), rows)
+        self.out.tables[name] = TableDecl(uname, table)
 
     def map_decl(self) -> None:
         kw = self.advance()
-        name = self.declare("mappings", self.expect_atom("map name"))
-        self.expect_keyword("from")
-        from_tok = self.expect_atom("set name")
-        src = self.ref_set(from_tok)
-        self.expect_keyword("to")
-        to_tok = self.expect_atom("set name")
-        dst = self.ref_set(to_tok)
+        name = self.declare("mappings", "map")
+        self.expect("atom", value="from")
+        from_name, src = self.ref("sets", "set")
+        self.expect("atom", value="to")
+        to_name, dst = self.ref("sets", "set")
         self.expect("=")
         self.expect("{")
-        pairs: list[tuple[str, str]] = []
-        seen: set[str] = set()
+        images: dict[str, str] = {}
         codomain = dst.subset.universe
         while self.peek().kind == "atom":
             a = self.advance()
             self.expect("->")
-            b = self.expect_atom("image element")
+            b = self.expect("atom", "image element")
             if a.value not in src.subset.universe or not src.subset.contains_label(a.value):
                 raise ValidationError(a.line, a.col,
                                       f"{a.value!r} not in the domain set", token=a.value)
-            if a.value in seen:
+            if a.value in images:
                 raise ValidationError(a.line, a.col,
                                       f"two images given for {a.value!r}", token=a.value)
-            seen.add(a.value)
             if b.value not in codomain:
                 raise ValidationError(b.line, b.col,
                                       f"image {b.value!r} not in the codomain universe",
                                       token=b.value)
-            pairs.append((a.value, b.value))
+            images[a.value] = b.value
         self.expect("}", "element or }")
-        try:
-            mapping = make_mapping(src.subset, codomain, pairs, target=dst.subset)
-        except RoughAlgError as e:
-            raise ValidationError(kw.line, kw.col, str(e)) from e
-        self.out.mappings[name] = MapDecl(from_tok.value, to_tok.value, mapping)
+        mapping = self.validated(kw, make_mapping, src.subset, codomain, images.items(), dst.subset)
+        self.out.mappings[name] = MapDecl(from_name, to_name, mapping)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -414,26 +343,37 @@ def parse_scenario(text: str) -> Scenario:
     return _Parser(text).run()
 
 
+def _words(*words: str) -> str:
+    """The words joined by spaces; each must lex back as exactly one atom."""
+    for w in words:
+        if not re.fullmatch(_ATOM, w):
+            raise ValueError(f"{w!r} is not a .ras atom, so it cannot be serialized")
+    return " ".join(words)
+
+
 def serialize_scenario(s: Scenario) -> str:
-    """Canonical text: sorted names, index-ordered elements, LF newlines."""
+    """Canonical text: sorted names, index-ordered elements, LF newlines.
+
+    Raises ValueError for the first declaration name or universe label that
+    would not read back as one atom.
+    """
     lines: list[str] = []
     for name in sorted(s.universes):
-        u = s.universes[name]
-        lines.append(f"universe {name} = {{ {' '.join(u.labels)} }}")
+        lines.append(f"universe {_words(name)} = {{ {_words(*s.universes[name].labels)} }}")
     for name in sorted(s.partitions):
         d = s.partitions[name]
         blocks = " ".join("{ " + " ".join(b.labels()) + " }" for b in d.partition.blocks)
-        lines.append(f"partition {name} on {d.universe_name} = {{ {blocks} }}")
+        lines.append(f"partition {_words(name)} on {_words(d.universe_name)} = {{ {blocks} }}")
     for name in sorted(s.sets):
         d = s.sets[name]
         body = " ".join(d.subset.labels())
         inner = f"{{ {body} }}" if body else "{ }"
-        lines.append(f"set {name} on {d.universe_name} = {inner}")
+        lines.append(f"set {_words(name)} on {_words(d.universe_name)} = {inner}")
     for name in sorted(s.tables):
         d = s.tables[name]
         tj = table_json(d.table)
         carrier = " ".join(tj["carrier"])
-        lines.append(f"table {name} on {d.universe_name} carrier {{ {carrier} }} = {{")
+        lines.append(f"table {_words(name)} on {_words(d.universe_name)} carrier {{ {carrier} }} = {{")
         for lab, row in zip(tj["carrier"], tj["rows"]):
             lines.append(f"  {lab} : {' '.join(row)}")
         lines.append("}")
@@ -441,5 +381,5 @@ def serialize_scenario(s: Scenario) -> str:
         d = s.mappings[name]
         body = " ".join(f"{a} -> {b}" for a, b in d.mapping.pairs())
         inner = f"{{ {body} }}" if body else "{ }"
-        lines.append(f"map {name} from {d.from_name} to {d.to_name} = {inner}")
+        lines.append(f"map {_words(name)} from {_words(d.from_name)} to {_words(d.to_name)} = {inner}")
     return "\n".join(lines) + ("\n" if lines else "")

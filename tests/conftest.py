@@ -19,6 +19,7 @@ from roughalg import (
     make_table,
     make_universe,
 )
+from roughalg.scenario import LexError, Token
 
 
 @pytest.fixture(scope="session")
@@ -83,6 +84,58 @@ def approx_law_oracle(blocks: list[set[str]], universe: set[str], law: str,
         "L9": lambda: (up(up(xs)) ^ up(xs)) | (lo(up(xs)) ^ up(xs)),
         "P31": lambda: (up(xs) & up(ys)) - up(xs & ys),
     }[law]()
+
+
+_SPECIALS = "{}:=?"
+
+
+def tokenize_oracle(text: str) -> list[Token]:
+    """The character-by-character `.ras` lexer that the regular expression
+    in roughalg.scenario replaced, kept as its reference."""
+    toks: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in _SPECIALS:
+            toks.append(Token(c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        if text.startswith("->", i):
+            toks.append(Token("->", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ord(c) < 32 or ord(c) == 127:
+            raise LexError(line, col, f"control character {c!r}", token=c)
+        start_col = col
+        j = i
+        while j < n:
+            cj = text[j]
+            if cj in _SPECIALS or cj in " \t\r\n#" or text.startswith("->", j):
+                break
+            if ord(cj) < 32 or ord(cj) == 127:
+                break
+            j += 1
+        toks.append(Token("atom", text[i:j], line, start_col))
+        col += j - i
+        i = j
+    toks.append(Token("eof", "", line, col))
+    return toks
 
 
 def random_rgs(rng: random.Random, n: int) -> list[int]:

@@ -1,10 +1,14 @@
+import re
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from roughalg import (
     EXAMPLE31_RAS,
     INDET,
     Scenario,
+    make_universe,
     parse_scenario,
     serialize_scenario,
 )
@@ -15,7 +19,10 @@ from roughalg.scenario import (
     ParseError,
     UnknownReferenceError,
     ValidationError,
+    _tokenize,
 )
+
+from conftest import tokenize_oracle
 
 
 def test_parse_bundled_fixture():
@@ -270,6 +277,58 @@ def test_arrow_splits_tokens():
     # parse as elements and the arrow itself is a syntax error here
     with pytest.raises(ParseError):
         parse_scenario(text)
+
+
+# Symbols, blanks, atom characters, every kind of control character, and
+# characters that other tools treat as blanks or line breaks.
+_LEX_ALPHABET = (list("{}:=?->#") + [" ", "\t", "\r", "\n", "a", "Z", "0", "9"]
+                 + ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\x7f", "\xa0", "é", "\u2028"])
+
+
+def _lexed(tokenize, text):
+    try:
+        return tokenize(text)
+    except LexError as e:
+        return (e.line, e.col, e.message, e.token)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=_LEX_ALPHABET, max_size=40),
+       st.none() | st.text(alphabet=[c for c in _LEX_ALPHABET if c != "\n"], max_size=8))
+@example("a  # trailing comment", None)
+@example("x->y a-->b -", None)
+def test_lexer_matches_reference(text, trailing_comment):
+    # a comment with no newline after it ends the text; eof sits at its `#`
+    if trailing_comment is not None:
+        text += "#" + trailing_comment
+    assert _lexed(_tokenize, text) == _lexed(tokenize_oracle, text)
+
+
+@pytest.mark.parametrize("label", ["a b", "x->y", "#1", "{", ""])
+def test_serialize_rejects_labels_that_are_not_atoms(label):
+    s = Scenario(universes={"U": make_universe([label, "c"])})
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(label))} "):
+        serialize_scenario(s)
+
+
+def test_serialize_rejects_names_that_are_not_atoms():
+    text = "universe U = { 1 }\nset D on U = { 1 }\nmap M from D to D = { 1 -> 1 }\n"
+    edits = {
+        "U 2": lambda s: s.universes.update({"U 2": s.universes["U"]}),
+        "x->y": lambda s: s.sets.update(D=replace(s.sets["D"], universe_name="x->y")),
+        "#D": lambda s: s.mappings.update(M=replace(s.mappings["M"], from_name="#D")),
+        "": lambda s: s.mappings.update(M=replace(s.mappings["M"], to_name="")),
+    }
+    for bad, edit in edits.items():
+        s = parse_scenario(text)
+        edit(s)
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} "):
+            serialize_scenario(s)
+
+
+def test_serialize_keeps_labels_that_are_atoms():
+    s = Scenario(universes={"U": make_universe(["a-", "-", ">", "x>y", "é", "a\xa0b"])})
+    assert parse_scenario(serialize_scenario(s)) == s
 
 
 _atom = st.text(alphabet="abcxyz0189_-", min_size=1, max_size=4).filter(
