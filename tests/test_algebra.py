@@ -146,6 +146,19 @@ def test_classify_fixture(ex31):
     assert b.verdict("C4").status == "AllFalse"
 
 
+def test_strict_ag4_needs_mixed_commutativity():
+    # AG(4) with C1-C3 Mixed through its indeterminate cells, but commutative
+    u = make_universe(["1", "2", "3"])
+    cells = ["?", "3", "3", "3", "1", "3", "3", "3", "?"]
+    rows = {(x, y): None if v == "?" else v
+            for (x, y), v in zip(itertools.product(u.labels, repeat=2), cells)}
+    c = classify(make_table(u, Subset.full(u), rows))
+    assert c.is_ag4
+    assert [c.verdict(law).status for law in ("C1", "C2", "C3", "C5")] == [
+        "Mixed", "Mixed", "Mixed", "AllTrue"]
+    assert not c.is_strict_ag4
+
+
 def test_counts_sum_to_domain(ex31):
     for table in (ex31["C"], ex31["TA"], ex31["TB"], trivial_table()):
         k = table.k
@@ -257,6 +270,12 @@ def test_set_product(ex31):
     assert set_product(c, a1, b).issubset(set_product(c, a2, b))
     assert set_product(c, a2, b, "restricted").issubset(set_product(c, a2, b))
 
+    # restricted mode also clips a product that is the universe's element 0
+    ab = make_universe(["a", "b"])
+    t = make_table(ab, Subset.from_labels(ab, ["b"]), {("b", "b"): "a"})
+    assert set_product(t, t.carrier, t.carrier).labels() == ("a",)
+    assert set_product(t, t.carrier, t.carrier, "restricted").labels() == ()
+
 
 def test_is_congruence(z4):
     u, table = z4["universe"], z4["table"]
@@ -298,6 +317,25 @@ def test_product_approx_laws_z4(z4):
 
     with pytest.raises(EmptySubsetError):
         check_product_approx_laws(space, table, Subset.empty(u), full)
+
+
+def test_product_approx_lower_relations_can_fail():
+    # one block {a, b}: only U is definable, so lower() is U or empty
+    u = make_universe(["a", "b"])
+    space = make_space(u, [Subset.full(u)])
+    full, b = Subset.full(u), Subset.from_labels(u, ["b"])
+
+    def table(*cells):
+        return make_table(u, full, dict(zip(itertools.product("ab", repeat=2), cells)))
+
+    # (c): lower(U) lower(U) = {a}, but lower(U U) = lower({a}) is empty
+    rep = check_product_approx_laws(space, table("a", "a", "a", "a"), full, full)
+    assert not rep.relation("c").holds and rep.relation("c").witness == "a"
+    assert rep.relation("d").holds and rep.congruence.holds
+    # (d): lower({b} U) = lower(U) = U, but lower({b}) lower(U) is empty
+    rep = check_product_approx_laws(space, table("a", "a", "a", "b"), b, full)
+    assert not rep.relation("d").holds and rep.relation("d").witness == "a"
+    assert rep.relation("c").holds and rep.congruence.holds
 
 
 def _status_reducer_agrees(table):

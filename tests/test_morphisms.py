@@ -131,9 +131,10 @@ def test_rough_hom_requires_surjection():
     u, table, space = _z2()
     const = make_mapping(Subset.full(u), u, [("0", "0"), ("1", "0")],
                          target=Subset.full(u))
-    rep = check_rough_hom(space, space, const, table, table, "rough-hom")
-    assert not rep.surjective and not rep.overall
-    assert rep.counts.violated == 0             # constant maps still preserve
+    for kind in ("rough-hom", "rough-anti-hom"):
+        rep = check_rough_hom(space, space, const, table, table, kind)
+        assert not rep.surjective and not rep.overall
+        assert rep.counts.violated == 0         # constant maps still preserve
 
 
 def test_rough_hom_domain_must_be_upper():

@@ -51,6 +51,16 @@ def test_def31_trivial():
     assert v.overall and v.condition1.holds and v.condition2.holds
 
 
+def test_def31_indeterminate_product_falsifies_condition1():
+    u = make_universe(["a", "b"])
+    space = make_space(u, [Subset.full(u)])
+    t = make_table(u, Subset.from_labels(u, ["a"]), {("a", "a"): None})
+    v = check_rough_anti_semigroup(space, t)
+    assert (v.condition1.holds, v.condition1.true_count, v.condition1.false_count) == (False, 0, 1)
+    assert v.condition1.witnesses == (("a", "a", "?"),)
+    assert not v.overall
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 2**30))
 def test_def31_condition2_matches_plain_resolution(n, seed):
