@@ -12,13 +12,19 @@ import random
 import pytest
 
 from roughalg import (
+    ApproxSpace,
+    OpTable,
     Subset,
+    approximate,
     fixture_scenario,
     fixture_space,
     make_space,
     make_table,
     make_universe,
+    set_product,
 )
+from roughalg.algebra import RelationCheck
+from roughalg.approx import _witness
 from roughalg.scenario import LexError, Token
 
 
@@ -84,6 +90,30 @@ def approx_law_oracle(blocks: list[set[str]], universe: set[str], law: str,
         "L9": lambda: (up(up(xs)) ^ up(xs)) | (lo(up(xs)) ^ up(xs)),
         "P31": lambda: (up(xs) & up(ys)) - up(xs & ys),
     }[law]()
+
+
+def product_relations_oracle(space: ApproxSpace, table: OpTable, x: Subset,
+                             y: Subset) -> tuple[RelationCheck, ...]:
+    """Relations (a)-(d) of check_product_approx_laws through `approximate`
+    and `set_product` on Subsets: the per-instance object path that the mask
+    kernel in roughalg.algebra replaced, kept as its reference."""
+    u = table.universe
+    ax, ay = approximate(space, x), approximate(space, y)
+    prod = set_product(table, x, y)
+    aprod = approximate(space, prod)
+    up_prod = set_product(table, ax.upper, ay.upper)
+    lo_prod = set_product(table, ax.lower, ay.lower)
+
+    def incl(name: str, lhs: Subset, rhs: Subset) -> RelationCheck:
+        bad = lhs.mask & ~rhs.mask
+        return RelationCheck(name, bad == 0, _witness(u, bad))
+
+    return (
+        incl("a", up_prod, aprod.upper),
+        incl("b", aprod.upper, up_prod),
+        incl("c", lo_prod, aprod.lower),
+        incl("d", aprod.lower, lo_prod),
+    )
 
 
 _SPECIALS = "{}:=?"

@@ -9,6 +9,7 @@ from roughalg import (
     cancellation_failures,
     check_product_approx_laws,
     classify,
+    enum_spaces,
     evaluate_law,
     is_congruence,
     local_neutrals,
@@ -25,10 +26,12 @@ from roughalg.errors import (
     ExtraEntryError,
     MissingEntryError,
     NotInCarrierError,
+    UniverseMismatchError,
     UnknownResultLabelError,
 )
 
-from conftest import law_counts_oracle, status_oracle, table_dict
+from conftest import (blocks_from_rgs, law_counts_oracle, product_relations_oracle,
+                      status_oracle, table_dict)
 
 
 def trivial_table():
@@ -336,6 +339,57 @@ def test_product_approx_lower_relations_can_fail():
     rep = check_product_approx_laws(space, table("a", "a", "a", "b"), b, full)
     assert not rep.relation("d").holds and rep.relation("d").witness == "a"
     assert rep.relation("c").holds and rep.congruence.holds
+
+
+def _product_relations_agree(space, table, x, y):
+    rep = check_product_approx_laws(space, table, x, y)
+    assert rep.relations == product_relations_oracle(space, table, x, y), (table.cells, x, y)
+
+
+def test_product_approx_laws_match_oracle_exhaustive_small():
+    # every space, every full-carrier table with indeterminate cells and
+    # every nonempty X and Y, at n = 1 and 2
+    for n in (1, 2):
+        u = make_universe([str(i) for i in range(n)])
+        full = Subset.full(u)
+        nonempty = [Subset(u, m) for m in range(1, 1 << n)]
+        for space in enum_spaces(n, u):
+            for cells in itertools.product([None, *range(n)], repeat=n * n):
+                table = OpTable.build(u, full, cells)
+                for x in nonempty:
+                    for y in nonempty:
+                        _product_relations_agree(space, table, x, y)
+
+
+def test_product_approx_laws_reject_subsets_and_tables_of_other_universes():
+    u, v = make_universe(["a", "b"]), make_universe(["c", "d"])
+    space = make_space(u, [Subset.full(u)])
+    on_u, on_v = (OpTable.build(w, Subset.full(w), (0, 1, 1, 0)) for w in (u, v))
+    for table, x, y in ((on_u, Subset.full(v), Subset.full(u)),
+                        (on_u, Subset.full(u), Subset.full(v)),
+                        (on_v, Subset.full(u), Subset.full(u))):
+        for check in (check_product_approx_laws, product_relations_oracle):
+            with pytest.raises(UniverseMismatchError):
+                check(space, table, x, y)
+
+
+@st.composite
+def product_instances(draw):
+    n = draw(st.integers(3, 4))
+    u = make_universe([str(i) for i in range(n)])
+    rgs = [0]
+    for _ in range(n - 1):
+        rgs.append(draw(st.integers(0, max(rgs) + 1)))
+    space = make_space(u, blocks_from_rgs(u, rgs))
+    cells = tuple(draw(st.one_of(st.none(), st.integers(0, n - 1))) for _ in range(n * n))
+    x, y = (Subset(u, draw(st.integers(1, (1 << n) - 1))) for _ in range(2))
+    return space, OpTable.build(u, Subset.full(u), cells), x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_instances())
+def test_product_approx_laws_match_oracle(instance):
+    _product_relations_agree(*instance)
 
 
 def _status_reducer_agrees(table):

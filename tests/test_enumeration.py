@@ -293,6 +293,18 @@ def test_p22_suite_relation_a_holds_under_congruence():
     assert r.instances == 289
 
 
+def test_p22_stream_reaches_a_failure_of_inclusion_a_off_congruence():
+    # every P22 instance at n <= 2 is congruent, so the suite never sees (a)
+    # fail; on the n = 3 space {1 2}{3} it first fails at stream position 315
+    stream = enumeration._p22_stream([(3, 1)])
+    pos, witness = next((i, w) for i, item in enumerate(stream)
+                        if item and "a" in (w := item())["failed"])
+    assert pos == 315
+    assert witness == {"universe": ["1", "2", "3"], "partition": [["1", "2"], ["3"]],
+                       "table": [["1", "1", "1"], ["1", "1", "1"], ["1", "3", "1"]],
+                       "X": ["3"], "Y": ["1"], "failed": ["a", "b"], "congruence": False}
+
+
 def test_composition_suites_find_nothing():
     for law in ("P41", "P42"):
         r = law_suite(law, 2)
