@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Literal, Mapping as TMapping, Optional
 
-from .approx import ApproxSpace, Subset, Universe, _witness, approximate
+from .approx import ApproxSpace, Subset, Universe, _Memo, _witness
 from .errors import (
     CarrierNotFullError,
     EmptyCarrierError,
@@ -42,6 +43,7 @@ from .errors import (
     ExtraEntryError,
     MissingEntryError,
     NotInCarrierError,
+    UniverseMismatchError,
     UnknownResultLabelError,
 )
 
@@ -424,17 +426,22 @@ def set_product(table: OpTable, a: Subset, b: Subset, mode: str = "outer") -> Su
         raise ValueError(f"mode must be 'outer' or 'restricted', got {mode!r}")
     if not (a.issubset(table.carrier) and b.issubset(table.carrier)):
         raise NotInCarrierError("set_product operands must lie inside the carrier")
-    k, cells, pos = table.k, table.cells, table.pos
-    mask = 0
-    for ih in a:
-        row = pos[ih] * k
-        for ik in b:
-            v = cells[row + pos[ik]]
-            if v is not INDET:
-                mask |= 1 << v
+    mask = _set_product(table, a.mask, b.mask)
     if mode == "restricted":
         mask &= table.carrier.mask
     return Subset(table.universe, mask)
+
+
+def _set_product(table: OpTable, a: int, b: int) -> int:
+    """The mask of the determinate products h*k, h in mask a and k in mask b, inside the carrier."""
+    rows, cols = ([table.pos[i] for i in range(len(table.pos)) if m >> i & 1] for m in (a, b))
+    mask = 0
+    for row in rows:
+        for col in cols:
+            v = table.cells[row * table.k + col]
+            if v is not INDET:
+                mask |= 1 << v
+    return mask
 
 
 @dataclass(frozen=True)
@@ -514,25 +521,16 @@ def check_product_approx_laws(space: ApproxSpace, table: OpTable, x: Subset, y: 
         raise CarrierNotFullError("product laws need a table on the whole universe")
     if not x or not y:
         raise EmptySubsetError("X and Y must be nonempty")
-    return ProductApproxReport(_product_relations(space, table, x, y), is_congruence(space, table))
+    if not (x.universe == y.universe == table.universe == space.universe):
+        raise UniverseMismatchError("X, Y, the table and the space need one universe")
+    bad = _product_relations(_Memo(space, 0), _Memo(space, 1), partial(_set_product, table), x.mask, y.mask)
+    relations = tuple(RelationCheck(name, not m, _witness(space.universe, m)) for name, m in zip("abcd", bad))
+    return ProductApproxReport(relations, is_congruence(space, table))
 
 
-def _product_relations(space: ApproxSpace, table: OpTable, x: Subset, y: Subset) -> tuple[RelationCheck, ...]:
-    """Relations (a)-(d) of check_product_approx_laws, on inputs it has validated."""
-    u = table.universe
-    ax, ay = approximate(space, x), approximate(space, y)
-    prod = set_product(table, x, y)
-    aprod = approximate(space, prod)
-    up_prod = set_product(table, ax.upper, ay.upper)
-    lo_prod = set_product(table, ax.lower, ay.lower)
-
-    def incl(name: str, lhs: Subset, rhs: Subset) -> RelationCheck:
-        bad = lhs.mask & ~rhs.mask
-        return RelationCheck(name, bad == 0, _witness(u, bad))
-
-    return (
-        incl("a", up_prod, aprod.upper),
-        incl("b", aprod.upper, up_prod),
-        incl("c", lo_prod, aprod.lower),
-        incl("d", aprod.lower, lo_prod),
-    )
+def _product_relations(lo, up, pr, x: int, y: int) -> tuple[int, int, int, int]:
+    """The masks of the elements that break relations (a)-(d) of
+    check_product_approx_laws on the masks X and Y; lo[m] and up[m] are the
+    lower and upper approximations of mask m, pr(a, b) the set product."""
+    xy, up_prod, lo_prod = pr(x, y), pr(up[x], up[y]), pr(lo[x], lo[y])
+    return up_prod & ~up[xy], up[xy] & ~up_prod, lo_prod & ~lo[xy], lo[xy] & ~lo_prod

@@ -46,7 +46,7 @@ from .approx import (
     space_from_partition,
 )
 from .algebra import (STATUSES, TABLE_LAWS, OpTable, _has_status, _product_relations,
-                      evaluate_law, is_congruence)  # noqa: F401 (bench/micro.py patches evaluate_law here)
+                      _set_product, evaluate_law, is_congruence)  # noqa: F401 (bench/micro.py patches evaluate_law here)
 from .errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
 from .morphisms import Mapping, _composition_outcomes
 from .report import partition_json, table_json
@@ -331,10 +331,13 @@ def _space_tasks(max_n: int) -> list[tuple[int, int]]:
     return [(n, p) for n in range(1, max_n + 1) for p in range(bell_number(n))]
 
 
-def _task_spaces(tasks: list[tuple[int, int]]) -> Iterator[ApproxSpace]:
-    """The space of each (n, partition index) task."""
+def _task_spaces(tasks: list[tuple[int, int]]) -> Iterator[tuple]:
+    """Each (n, partition index) task's space, full mask, and lower and upper tables."""
     spaces = {n: list(enum_spaces(n)) for n in {n for n, _ in tasks}}
-    return (spaces[n][pidx] for n, pidx in tasks)
+    for n, pidx in tasks:
+        space = spaces[n][pidx]
+        full = space.universe.full_mask()
+        yield (space, full, *zip(*(_lower_upper(space, m) for m in range(full + 1))))
 
 
 def _space_descr(space: ApproxSpace) -> dict:
@@ -348,41 +351,40 @@ def _approx_witness(space: ApproxSpace, x: int, y: int, bad: int) -> dict:
 
 
 def _approx_stream(law: str, tasks: list[tuple[int, int]]):
-    """L1..L9 or P31 over every pair of subset masks of each task's space,
-    reading lower/upper tables built once per space over all its masks."""
+    """L1..L9 or P31 over every pair of subset masks of each task's space."""
     law_bad = _LAW_BAD[law]
-    for space in _task_spaces(tasks):
-        full = space.universe.full_mask()
-        lower, upper = zip(*(_lower_upper(space, m) for m in range(full + 1)))
+    for space, full, lower, upper in _task_spaces(tasks):
         for x in range(full + 1):
             for y in range(full + 1):
                 bad = law_bad(lower, upper, full, x, y)
                 yield bad and partial(_approx_witness, space, x, y, bad)
 
 
-def _p22_witness(space: ApproxSpace, table: OpTable, x: Subset, y: Subset,
+def _p22_witness(space: ApproxSpace, table: OpTable, x: int, y: int,
                  failed: list[str], cong: bool) -> dict:
-    return {**_space_descr(space), "table": table_json(table)["rows"], "X": list(x.labels()),
-            "Y": list(y.labels()), "failed": failed, "congruence": cong}
+    u = space.universe
+    return {**_space_descr(space), "table": table_json(table)["rows"], "X": list(Subset(u, x).labels()),
+            "Y": list(Subset(u, y).labels()), "failed": failed, "congruence": cong}
 
 
 def _p22_stream(tasks: list[tuple[int, int]]):
-    """Relations (a) and (b) over every total table on each task's universe
-    and every pair of nonempty subsets.  Returns the congruent instances
-    and their failures of inclusion (a), a theorem there, and of the equality."""
+    """Relations (a) and (b) over every total table on each task's universe, with its set
+    products tabled over all mask pairs, and every pair of nonempty subset masks.  Returns the
+    congruent instances and their failures of inclusion (a), a theorem there, and of the equality."""
     congruent = inclusion = equality = 0
-    for space in _task_spaces(tasks):
-        universe = space.universe
-        nonempty = [Subset(universe, m) for m in range(1, 1 << universe.size)]
-        for table in enum_tables(universe, Subset.full(universe)):
+    for space, full, lower, upper in _task_spaces(tasks):
+        masks = range(full + 1)
+        for table in enum_tables(space.universe, Subset.full(space.universe)):
             cong = is_congruence(space, table).holds
-            for x in nonempty:
-                for y in nonempty:
-                    rels = _product_relations(space, table, x, y)
-                    failed = [r.relation for r in rels[:2] if not r.holds]
+            prods = [[_set_product(table, a, b) for b in masks] for a in masks]
+            pr = lambda a, b: prods[a][b]
+            for x in masks[1:]:
+                for y in masks[1:]:
+                    bad = _product_relations(lower, upper, pr, x, y)
+                    failed = [name for name, m in zip("ab", bad) if m]
                     if cong:
                         congruent += 1
-                        inclusion += not rels[0].holds
+                        inclusion += bool(bad[0])
                         equality += bool(failed)
                     yield failed and partial(_p22_witness, space, table, x, y, failed, cong)
     return {"congruent_instances": congruent, "congruent_inclusion_failures": inclusion,
