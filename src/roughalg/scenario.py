@@ -15,7 +15,8 @@ Table rows are positional: one row per carrier element, cells in carrier
 declaration order; a `?` cell is an indeterminate entry.  Every diagnostic
 carries a 1-based line and column.  `serialize_scenario` writes a canonical
 form that re-parses to an equal scenario, and refuses any name or label
-that is not one atom.
+that is not one atom, and any declaration built on another universe or set
+than the one it names.
 """
 
 from __future__ import annotations
@@ -351,35 +352,54 @@ def _words(*words: str) -> str:
     return " ".join(words)
 
 
+def _ref(decl: str, ref: str, names_its_object: bool) -> str:
+    """`_words(ref)`, where `ref` must name the universe or set that the
+    declaration `decl` is built on."""
+    word = _words(ref)
+    if not names_its_object:
+        raise ValueError(f"{decl} is not built on what {ref!r} names, so its text would not re-parse")
+    return word
+
+
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text: sorted names, index-ordered elements, LF newlines.
 
     Raises ValueError for the first declaration name or universe label that
-    would not read back as one atom.
+    would not read back as one atom, and for a declaration built on another
+    universe than the one it names, or a map whose domain is not its `from`
+    set or whose target is not its `to` set over the codomain.
     """
     lines: list[str] = []
+
+    def on(kind: str, name: str, ref: str, universe: Universe) -> str:
+        head = f"{kind} {_words(name)} on "
+        return head + _ref(f"{kind} {name!r}", ref, s.universes.get(ref) == universe)
+
     for name in sorted(s.universes):
         lines.append(f"universe {_words(name)} = {{ {_words(*s.universes[name].labels)} }}")
     for name in sorted(s.partitions):
         d = s.partitions[name]
         blocks = " ".join("{ " + " ".join(b.labels()) + " }" for b in d.partition.blocks)
-        lines.append(f"partition {_words(name)} on {_words(d.universe_name)} = {{ {blocks} }}")
+        lines.append(f"{on('partition', name, d.universe_name, d.partition.universe)} = {{ {blocks} }}")
     for name in sorted(s.sets):
         d = s.sets[name]
         body = " ".join(d.subset.labels())
         inner = f"{{ {body} }}" if body else "{ }"
-        lines.append(f"set {_words(name)} on {_words(d.universe_name)} = {inner}")
+        lines.append(f"{on('set', name, d.universe_name, d.subset.universe)} = {inner}")
     for name in sorted(s.tables):
         d = s.tables[name]
         tj = table_json(d.table)
         carrier = " ".join(tj["carrier"])
-        lines.append(f"table {_words(name)} on {_words(d.universe_name)} carrier {{ {carrier} }} = {{")
+        lines.append(f"{on('table', name, d.universe_name, d.table.universe)} carrier {{ {carrier} }} = {{")
         for lab, row in zip(tj["carrier"], tj["rows"]):
             lines.append(f"  {lab} : {' '.join(row)}")
         lines.append("}")
     for name in sorted(s.mappings):
-        d = s.mappings[name]
-        body = " ".join(f"{a} -> {b}" for a, b in d.mapping.pairs())
+        d, m = s.mappings[name], s.mappings[name].mapping
+        body = " ".join(f"{a} -> {b}" for a, b in m.pairs())
         inner = f"{{ {body} }}" if body else "{ }"
-        lines.append(f"map {_words(name)} from {_words(d.from_name)} to {_words(d.to_name)} = {inner}")
+        src, dst = (getattr(s.sets.get(ref), "subset", None) for ref in (d.from_name, d.to_name))
+        head = f"map {_words(name)} from {_ref(f'map {name!r}', d.from_name, src == m.domain)} to "
+        lines.append(head + _ref(f"map {name!r}", d.to_name, dst == m.target and dst.universe == m.codomain)
+                     + f" = {inner}")
     return "\n".join(lines) + ("\n" if lines else "")

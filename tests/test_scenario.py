@@ -8,6 +8,7 @@ from roughalg import (
     EXAMPLE31_RAS,
     INDET,
     Scenario,
+    Subset,
     make_universe,
     parse_scenario,
     serialize_scenario,
@@ -17,6 +18,7 @@ from roughalg.scenario import (
     DuplicateNameError,
     LexError,
     ParseError,
+    SetDecl,
     UnknownReferenceError,
     ValidationError,
     _tokenize,
@@ -324,6 +326,40 @@ def test_serialize_rejects_names_that_are_not_atoms():
         edit(s)
         with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} "):
             serialize_scenario(s)
+
+
+def test_serialize_rejects_declarations_not_built_on_what_they_name():
+    # each would serialize to text that does not re-parse, or re-parses to another scenario
+    u, one, v = make_universe(["1", "2"]), make_universe(["1"]), make_universe(["x"])
+    text = "universe U = { 1 2 }\nset D on U = { 1 }\nset E on U = { 1 2 }\nmap M from D to E = { 1 -> 2 }\n"
+
+    def edited(edit):
+        s = parse_scenario(text)
+        edit(s)
+        return s
+
+    def remap(s, **changes):
+        s.mappings["M"] = replace(s.mappings["M"], **changes)
+
+    def target_over_v(s):
+        s.universes["V"] = v
+        s.sets["T"] = SetDecl("V", Subset.full(v))
+        remap(s, to_name="T", mapping=replace(s.mappings["M"].mapping, target=Subset.full(v)))
+
+    cases = [
+        # `set S on V`, with no universe V
+        ("set 'S'", Scenario(universes={"U": u}, sets={"S": SetDecl("V", Subset.full(u))})),
+        # a two-element set on a one-element U
+        ("set 'S'", Scenario(universes={"U": one}, sets={"S": SetDecl("U", Subset.full(u))})),
+        ("map 'M'", edited(lambda s: remap(s, from_name="E"))),  # E is not the domain
+        ("map 'M'", edited(lambda s: remap(s, to_name="D"))),  # D is not the target
+        ("map 'M'", edited(lambda s: remap(s, to_name="Z"))),  # no set Z
+        ("map 'M'", edited(target_over_v)),  # the target T is not over the codomain U
+    ]
+    for decl, s in cases:
+        with pytest.raises(ValueError, match=f"^{decl} is not built on"):
+            serialize_scenario(s)
+    assert parse_scenario(serialize_scenario(parse_scenario(text))) == parse_scenario(text)
 
 
 def test_serialize_keeps_labels_that_are_atoms():
