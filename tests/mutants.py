@@ -1,0 +1,150 @@
+"""Mutation check of the kernels: every mutant below must fail its tests.
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py a-sides ...  # only the named ones
+
+A mutant is a one-line edit of a module under src/roughalg: the old text,
+which must occur there exactly once, and the new text.  For each, src/ is
+copied to a temporary directory, the edit is applied to the copy, and the
+test files that cover it run with `pytest -x` with PYTHONPATH at the copy.
+The mutant is killed if they fail.  A mutant that survives fails the run,
+unless it is marked equivalent, with the reason that no input the code can
+reach tells it apart; those must survive, since a kill means the reason is
+wrong.  The run prints one line per mutant and exits 1 on any miss.
+
+Stdlib only.  pytest does not collect this file (it does not match
+test_*.py), so it is not part of tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file under src/roughalg
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test files under tests/
+    equivalent: str = ""  # why no reachable input tells it apart; empty if one does
+
+
+_RELATIONS = "return up_prod & ~up[xy], up[xy] & ~up_prod, lo_prod & ~lo[xy], lo[xy] & ~lo_prod"
+
+
+def _relation(name: str, a: str, b: str, c: str, d: str) -> Mutant:
+    """A mutant of the product-relation kernel's four bad masks."""
+    return Mutant(name, "algebra.py", _RELATIONS, f"return {a}, {b}, {c}, {d}", ("test_algebra.py",))
+
+
+_A, _B, _C, _D = "up_prod & ~up[xy]", "up[xy] & ~up_prod", "lo_prod & ~lo[xy]", "lo[xy] & ~lo_prod"
+
+MUTANTS = (
+    # relations (a)-(d): sides swapped, or the other approximation on both sides
+    _relation("a-sides", _B, _B, _C, _D),
+    _relation("a-lower", _C, _B, _C, _D),
+    _relation("b-sides", _A, _A, _C, _D),
+    _relation("b-lower", _A, _D, _C, _D),
+    _relation("c-sides", _A, _B, _D, _D),
+    _relation("c-upper", _A, _B, _A, _D),
+    _relation("d-sides", _A, _B, _C, _C),
+    _relation("d-upper", _A, _B, _C, _B),
+    # (c) against upper(XY), (d) against the upper product
+    _relation("c-upper-xy", _A, _B, "lo_prod & ~up[xy]", _D),
+    _relation("d-upper-product", _A, _B, _C, "lo[xy] & ~up_prod"),
+    # the set product, the one definition of a product
+    Mutant("set-product-indet", "algebra.py", "            if v is not INDET:\n                mask |= 1 << v",
+           "            mask |= 1 << v", ("test_algebra.py",)),
+    Mutant("set-product-operands", "algebra.py", "if m >> i & 1] for m in (a, b))",
+           "if m >> i & 1] for m in (b, a))", ("test_algebra.py",)),
+    Mutant("set-product-restricted-0", "algebra.py", "        mask &= table.carrier.mask",
+           "        mask &= table.carrier.mask | 1", ("test_algebra.py",)),
+    # the P22 stream's count of congruent failures of inclusion (a)
+    Mutant("p22-inclusion-counts-b", "enumeration.py", "inclusion += bool(bad[0])",
+           "inclusion += bool(bad[1])", ("test_enumeration.py",)),
+    Mutant("p22-names-swapped", "enumeration.py", 'zip("ab", bad)', 'zip("ba", bad)',
+           ("test_enumeration.py", "test_golden.py")),
+    Mutant("p22-empty-x", "enumeration.py", "for x in masks[1:]:", "for x in masks:",
+           ("test_enumeration.py", "test_golden.py")),
+    # classification and the structure checks
+    Mutant("strict-ag4-without-c5", "algebra.py", 'for c in ("C1", "C2", "C3", "C5"))',
+           'for c in ("C1", "C2", "C3"))', ("test_algebra.py", "test_acceptance.py")),
+    Mutant("closure-indet-true", "rough_structures.py",
+           "if v is not INDET and target.contains_index(v):",
+           "if v is INDET or target.contains_index(v):", ("test_rough_structures.py",)),
+    Mutant("rough-anti-hom-without-surjection", "morphisms.py",
+           'kind in ("hom", "anti-hom"))', 'kind in ("hom", "anti-hom", "rough-anti-hom"))',
+           ("test_morphisms.py",)),
+    # equivalent: each must survive
+    Mutant("l4-and-not", "approx.py", "lo[x & y] ^ (lo[x] & lo[y])", "lo[x & y] & ~(lo[x] & lo[y])",
+           ("test_approx.py", "test_enumeration.py"),
+           "L4 holds on every input, so both formulas give 0"),
+    Mutant("congruence-distinct-products", "algebra.py", "if cls[p] != cls[q] and holds:",
+           "if p != q and cls[p] != cls[q] and holds:", ("test_algebra.py",),
+           "products in different classes are different elements"),
+    Mutant("commutative-group-not-mixed", "algebra.py", 'is_group and all_true("C5")',
+           'is_group and not mixed("C5")', ("test_algebra.py", "test_acceptance.py"),
+           "in a group the identity commutes with every element, so C5 is never AllFalse"),
+    Mutant("block-count-first-partition", "enumeration.py", "< 4 ** n)", "<= 4 ** n)",
+           ("test_enumeration.py",),
+           "P31, the only counted law that fails, first fails on partition 0 of its first failing n"),
+)
+
+
+def _killed(m: Mutant) -> bool:
+    """Whether the mutant's tests fail on a mutated copy of src/."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = src / "roughalg" / m.module
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            raise SystemExit(f"{m.name}: the old text occurs {text.count(m.old)} times in {m.module}")
+        path.write_text(text.replace(m.old, m.new))
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run([sys.executable, "-c", "import roughalg; print(roughalg.__file__)"],
+                               env=env, capture_output=True, text=True, check=True).stdout
+        if not where.startswith(str(src)):
+            raise SystemExit(f"{m.name}: roughalg imported from {where.strip()}, not the mutated copy")
+        tests = [str(REPO / "tests" / t) for t in m.tests]
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                              cwd=REPO, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        # 1: a test failed; 2: collection failed, as when the edit breaks an import
+        if done.returncode not in (0, 1, 2):
+            raise SystemExit(f"{m.name}: pytest exited with {done.returncode}")
+        return done.returncode != 0
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    misses = 0
+    started = time.monotonic()
+    for m in MUTANTS:
+        if names and m.name not in names:
+            continue
+        t = time.monotonic()
+        killed = _killed(m)
+        if m.equivalent:
+            verdict = "KILLED, so not equivalent" if killed else f"survived, equivalent: {m.equivalent}"
+        else:
+            verdict = "killed" if killed else "SURVIVED"
+        misses += killed == bool(m.equivalent)
+        print(f"{m.name:36} {time.monotonic() - t:5.1f} s  {verdict}", flush=True)
+    print(f"{misses} misses, {time.monotonic() - started:.0f} s")
+    return 1 if misses else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

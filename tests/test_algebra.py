@@ -279,6 +279,15 @@ def test_set_product(ex31):
     assert set_product(t, t.carrier, t.carrier).labels() == ("a",)
     assert set_product(t, t.carrier, t.carrier, "restricted").labels() == ()
 
+    # every pair of carrier subsets of the non-commutative C, against its cells by label
+    cells = table_dict(c)
+    subsets = [Subset.from_indices(u, s) for r in range(c.k + 1)
+               for s in itertools.combinations(c.order, r)]
+    for a in subsets:
+        for b in subsets:
+            want = {cells[(h, k)] for h in a.labels() for k in b.labels()} - {None}
+            assert set(set_product(c, a, b).labels()) == want, (a, b)
+
 
 def test_is_congruence(z4):
     u, table = z4["universe"], z4["table"]
