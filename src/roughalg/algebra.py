@@ -26,6 +26,10 @@ the anti-laws C6-C10 (so a one-element group is not anti-abelian).
 Each law is one private stream of bucket codes, one per instance in this
 order, over a table's raw cells and carrier positions.  `evaluate_law`
 tallies it; `_has_status`, for `search`, stops where the status is ruled out.
+
+The product relations (a)-(d) are one mask kernel, `_product_relations`, which
+`check_product_approx_laws` runs on memoised lookups and the P22 sweep on lookup
+tables; `_set_product` is the one definition of a set product.
 """
 
 from __future__ import annotations
