@@ -437,7 +437,7 @@ def set_product(table: OpTable, a: Subset, b: Subset, mode: str = "outer") -> Su
 
 
 def _set_product(table: OpTable, a: int, b: int) -> int:
-    """The mask of the determinate products h*k, h in mask a and k in mask b, inside the carrier."""
+    """The mask of the determinate products h*k, h in mask a and k in mask b, both in the carrier."""
     rows, cols = ([table.pos[i] for i in range(len(table.pos)) if m >> i & 1] for m in (a, b))
     mask = 0
     for row in rows:
