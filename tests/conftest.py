@@ -8,6 +8,7 @@ production code paths.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -25,6 +26,9 @@ from roughalg import (
 )
 from roughalg.algebra import RelationCheck
 from roughalg.approx import _witness
+from roughalg.enumeration import enum_mappings, enum_tables
+from roughalg.morphisms import _composition_outcomes
+from roughalg.report import table_json
 from roughalg.scenario import LexError, Token
 
 
@@ -114,6 +118,32 @@ def product_relations_oracle(space: ApproxSpace, table: OpTable, x: Subset,
         incl("c", lo_prod, aprod.lower),
         incl("d", aprod.lower, lo_prod),
     )
+
+
+def _composition_witness_oracle(table: OpTable, ce) -> dict:
+    return {"table": table_json(table)["rows"], "phi1": [list(p) for p in ce.phi1.pairs()],
+            "phi2": [list(p) for p in ce.phi2.pairs()], "pair": list(ce.pair)}
+
+
+def composition_stream_oracle(prop: str, allow_indet: bool, carriers: list[Subset]):
+    """The P41/P42 instance stream on `OpTable`, `Mapping` and `compose`
+    objects, with a `_check` report per map and per checked composite: the
+    object path that the raw-cell behaviour kernel in roughalg.enumeration
+    replaced, kept as its reference.
+
+    Every checked pair of self-maps of each carrier, over each of its tables.
+    Returns the tables and the pairs skipped as not composable."""
+    tables = skipped = 0
+    for carrier in carriers:
+        maps = list(enum_mappings(carrier, carrier))
+        pairs = [(a, b) for a in maps for b in maps]
+        for table in enum_tables(carrier.universe, carrier, allow_indet):
+            tables += 1
+            skipped += len(pairs)
+            for ce in _composition_outcomes(table, pairs, prop):
+                skipped -= 1
+                yield ce and partial(_composition_witness_oracle, table, ce)
+    return {"tables": tables, "skipped_pairs": skipped}
 
 
 _SPECIALS = "{}:=?"

@@ -31,7 +31,7 @@ from roughalg.enumeration import (COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, _
 from roughalg.errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
 from roughalg.report import REPORT_SCHEMA
 
-from conftest import law_counts_oracle, status_oracle
+from conftest import composition_stream_oracle, law_counts_oracle, status_oracle
 
 
 def bell_oracle(n: int) -> int:
@@ -254,6 +254,39 @@ def test_find_counterexample_composition_allow_indet(law, n, examined, witness):
     assert (out.status, out.examined) == ("found", examined)
     if witness is not None:
         assert out.witness == witness
+
+
+def _drain(stream, limit=None):
+    """(items, return value) of the first `limit` items of an instance stream,
+    each item None if it holds or else the witness it builds; the return
+    value is None when the limit stops the stream first."""
+    items = []
+    while len(items) != limit:
+        try:
+            item = next(stream)
+        except StopIteration as end:
+            return items, end.value
+        items.append(item() if item else None)
+    return items, None
+
+
+@pytest.mark.parametrize("allow_indet", [False, True])
+@pytest.mark.parametrize("prop", ["p41", "p42"])
+def test_composition_stream_matches_object_oracle(prop, allow_indet):
+    # every carrier at n <= 3, k <= 2: every item, every witness, the return value
+    for n in range(1, 4):
+        for k in range(1, min(n, 2) + 1):
+            carriers = enumeration._carriers(canonical_universe(n), k)
+            got = _drain(enumeration._composition_stream(prop, allow_indet, carriers))
+            assert got == _drain(composition_stream_oracle(prop, allow_indet, carriers)), (n, k)
+
+
+@pytest.mark.parametrize("prop", ["p41", "p42"])
+def test_composition_stream_matches_object_oracle_n4_k3_prefix(prop):
+    carriers = enumeration._carriers(canonical_universe(4), 3)
+    got = _drain(enumeration._composition_stream(prop, True, carriers), 4000)
+    assert got == _drain(composition_stream_oracle(prop, True, carriers), 4000)
+    assert any(got[0])
 
 
 def test_approx_law_suite_counts():
