@@ -14,6 +14,10 @@ sweep size and hypothesis.  `_first` reduces a stream for
 `find_counterexample` under a budget; `_count` for the P22/P41/P42 suites,
 on the slices `_pmap` runs in task order, on worker processes if jobs > 1.
 The L1-L9/P31 suites are counted per block (`_block_count`).
+`_composition_stream` judges each self-map once per raw table
+(`morphisms._self_map_behaviour`); a checked pair's composite is itself one
+of the maps, so its verdict is a lookup through a composition table built
+once per carrier.  Objects are built only for a failure's witness.
 
 `search` maps `_scan` over ranges of (carrier, table) rests the same way.
 Law constraints see only a candidate's rest, so each rest is checked once,
@@ -48,7 +52,7 @@ from .approx import (
 from .algebra import (STATUSES, TABLE_LAWS, OpTable, _has_status, _product_relations,
                       _set_product, evaluate_law, is_congruence)  # noqa: F401 (bench/micro.py patches evaluate_law here)
 from .errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
-from .morphisms import Mapping, _composition_outcomes
+from .morphisms import Mapping, _composition_outcomes, _self_map_behaviour
 from .report import partition_json, table_json
 from .rough_structures import check_rough_anti_semigroup
 
@@ -391,7 +395,9 @@ def _p22_stream(tasks: list[tuple[int, int]]):
             "congruent_equality_failures": equality}
 
 
-def _composition_witness(table: OpTable, ce) -> dict:
+def _composition_witness(carrier: Subset, cells: tuple, prop: str, phi1: Mapping, phi2: Mapping) -> dict:
+    table = OpTable.build(carrier.universe, carrier, cells)
+    ce = next(_composition_outcomes(table, [(phi1, phi2)], prop))
     return {"table": table_json(table)["rows"], "phi1": [list(p) for p in ce.phi1.pairs()],
             "phi2": [list(p) for p in ce.phi2.pairs()], "pair": list(ce.pair)}
 
@@ -401,14 +407,21 @@ def _composition_stream(prop: str, allow_indet: bool, carriers: list[Subset]):
     Returns the tables and the pairs skipped as not composable."""
     tables = skipped = 0
     for carrier in carriers:
+        order, vals = tuple(carrier), _table_values(carrier.universe, allow_indet)
+        k, pos = len(order), [order.index(i) if i in order else -1 for i in range(carrier.universe.size)]
         maps = list(enum_mappings(carrier, carrier))
-        pairs = [(a, b) for a in maps for b in maps]
-        for table in enum_tables(carrier.universe, carrier, allow_indet):
+        graphs = [tuple(pos[v] for v in m.graph) for m in maps]  # as carrier positions
+        index = {g: i for i, g in enumerate(graphs)}
+        comp = [[index[tuple(ga[p] for p in gb)] for gb in graphs] for ga in graphs]  # a o b
+        for cells in itertools.product(vals, repeat=k * k):
+            rev, pres = zip(*(_self_map_behaviour(cells, k, order, pos, g) for g in graphs))
+            want2, claim = (pres, rev) if prop == "p41" else (rev, pres)
+            firsts, seconds = ([i for i, ok in enumerate(col) if ok] for col in (rev, want2))
             tables += 1
-            skipped += len(pairs)
-            for ce in _composition_outcomes(table, pairs, prop):
-                skipped -= 1
-                yield ce and partial(_composition_witness, table, ce)
+            skipped += len(maps) ** 2 - len(firsts) * len(seconds)
+            for a, b in itertools.product(firsts, seconds):
+                yield not claim[comp[a][b]] and partial(_composition_witness, carrier, cells, prop,
+                                                       maps[a], maps[b])
     return {"tables": tables, "skipped_pairs": skipped}
 
 

@@ -253,6 +253,26 @@ def compose(phi1: Mapping, phi2: Mapping) -> Mapping:
     return Mapping(phi2.domain, phi1.codomain, graph, phi1.target)
 
 
+def _self_map_behaviour(cells, k: int, order, pos, graph) -> tuple[bool, bool]:
+    """(reverses_all, preserves_all) of a self-map of one table's carrier, on
+    its raw cells; graph[p] is the carrier position of the image of position p."""
+    rev = pres = True
+    slot = 0
+    for gx in graph:
+        for gy in graph:
+            xy = cells[slot]
+            slot += 1
+            if xy is INDET or pos[xy] < 0:
+                continue
+            left = order[graph[pos[xy]]]
+            fwd, back = cells[gx * k + gy], cells[gy * k + gx]
+            pres = pres and (fwd is INDET or fwd == left)
+            rev = rev and (back is INDET or back == left)
+            if not (rev or pres):
+                return False, False
+    return rev, pres
+
+
 def preserves_all(phi: Mapping, table_a: OpTable, table_b: OpTable) -> bool:
     """No resolvable pair breaks phi(x*y) = phi(x) o phi(y)."""
     return _check(phi, table_a, table_b, "hom").counts.violated == 0

@@ -76,6 +76,19 @@ MUTANTS = (
            ("test_enumeration.py", "test_golden.py")),
     Mutant("p22-empty-x", "enumeration.py", "for x in masks[1:]:", "for x in masks:",
            ("test_enumeration.py", "test_golden.py")),
+    # the P41/P42 behaviour kernel and the stream that reads it
+    Mutant("self-map-reverse-reads-forward", "morphisms.py", "cells[gy * k + gx]", "cells[gx * k + gy]",
+           ("test_morphisms.py",)),
+    Mutant("self-map-product-outside-carrier", "morphisms.py", "if xy is INDET or pos[xy] < 0:",
+           "if xy is INDET:", ("test_morphisms.py",)),
+    Mutant("self-map-forward-indet", "morphisms.py", "(fwd is INDET or fwd == left)", "(fwd == left)",
+           ("test_morphisms.py",)),
+    Mutant("self-map-reverse-indet", "morphisms.py", "(back is INDET or back == left)", "(back == left)",
+           ("test_morphisms.py",)),
+    Mutant("composite-index-swapped", "enumeration.py", "claim[comp[a][b]]", "claim[comp[b][a]]",
+           ("test_enumeration.py",)),
+    Mutant("p42-second-preserves", "enumeration.py", 'if prop == "p41" else (rev, pres)',
+           'if prop == "p41" else (pres, pres)', ("test_enumeration.py",)),
     # classification and the structure checks
     Mutant("strict-ag4-without-c5", "algebra.py", 'for c in ("C1", "C2", "C3", "C5"))',
            'for c in ("C1", "C2", "C3"))', ("test_algebra.py", "test_acceptance.py")),

@@ -256,6 +256,17 @@ def test_find_counterexample_composition_allow_indet(law, n, examined, witness):
         assert out.witness == witness
 
 
+@pytest.mark.parametrize("law, checked, skipped", [("P41", 62445, 14286462), ("P42", 41145, 14307762)])
+def test_composition_counts_at_n3(law, checked, skipped):
+    # ROADMAP item 7: every total table on {1 2 3} and every pair of its
+    # self-maps; the theorem holds on each checked pair
+    out = find_counterexample(law, SearchSpec(3, 3))
+    assert (out.status, out.witness, out.examined) == ("none", None, checked)
+    record = enumeration._SWEEP_LAWS[law]
+    assert _count(record.stream(False), record.tasks(3, 3)) == (
+        checked, 0, None, {"tables": 19683, "skipped_pairs": skipped})
+
+
 def _drain(stream, limit=None):
     """(items, return value) of the first `limit` items of an instance stream,
     each item None if it holds or else the witness it builds; the return

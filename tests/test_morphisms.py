@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roughalg import (
+    OpTable,
     Subset,
     canonical_universe,
     check_anti_group_hom,
@@ -20,7 +21,7 @@ from roughalg import (
     neutral_pool,
     verify_composition_props,
 )
-from roughalg.morphisms import preserves_all, reverses_all
+from roughalg.morphisms import _self_map_behaviour, preserves_all, reverses_all
 from roughalg.errors import (
     CarrierMismatchError,
     DomainMismatchError,
@@ -256,3 +257,25 @@ def test_kernel_image_invariant_under_relabeling(perm1, perm2):
     new_phi, new_tb = build(list(perm1), list(perm2))
     assert set(kernel(base_phi, base_tb).labels()) == set(kernel(new_phi, new_tb).labels())
     assert set(base_phi.image().labels()) == set(new_phi.image().labels())
+
+
+@st.composite
+def _partial_tables(draw) -> OpTable:
+    """A table on a carrier of up to 3 of up to 4 elements, its cells drawn
+    from the whole universe and INDET."""
+    n = draw(st.integers(1, 4))
+    u = canonical_universe(n)
+    carrier = Subset.from_indices(u, draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                                   max_size=min(n, 3), unique=True)))
+    ncells = len(carrier) ** 2
+    cells = draw(st.lists(st.none() | st.integers(0, n - 1), min_size=ncells, max_size=ncells))
+    return OpTable.build(u, carrier, tuple(cells))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partial_tables())
+def test_self_map_behaviour_matches_object_checks(table):
+    for phi in enum_mappings(table.carrier, table.carrier):
+        graph = tuple(table.pos[v] for v in phi.graph)
+        assert _self_map_behaviour(table.cells, table.k, table.order, table.pos, graph) == (
+            reverses_all(phi, table, table), preserves_all(phi, table, table))
