@@ -192,6 +192,8 @@ class SearchSpec:
             )
         if self.limit < 1 or self.budget < 1:
             raise SizeOutOfRangeError("limit and budget must be at least 1")
+        if not isinstance(self.allow_indet, bool):
+            raise ValueError(f"allow_indet must be True or False, got {self.allow_indet!r}")
         bad = [c for c in self.law_constraints if c[0] not in TABLE_LAWS or c[1] not in STATUSES]
         bad += [c for c in self.structural_constraints if c not in STRUCTURAL_CONSTRAINTS]
         if bad:
@@ -536,6 +538,8 @@ def find_counterexample(law: str, bounds: SearchSpec) -> FindOutcome:
     for P41 and P42.
     """
     record = _sweep_law(law)
+    if law == "P22" and bounds.allow_indet:
+        raise ValueError("P22 sweeps total tables only, so allow_indet must be False")
     tasks = record.tasks(bounds.universe_size, bounds.carrier_size)
     return FindOutcome(law, *_first(record.stream(bounds.allow_indet)(tasks), bounds.budget))
 

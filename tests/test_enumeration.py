@@ -184,6 +184,14 @@ def test_spec_rejects_constraints_that_never_match(kwargs):
         SearchSpec(universe_size=2, carrier_size=2, **kwargs)
 
 
+def test_spec_rejects_allow_indet_that_is_not_bool():
+    # a constraint tuple in the third positional slot is not "indeterminate cells"
+    for allow_indet in ((("C4", "AllFalse"),), 1, "yes", None):
+        with pytest.raises(ValueError, match="allow_indet"):
+            SearchSpec(3, 2, allow_indet)
+    assert SearchSpec(3, 2, True).allow_indet is True
+
+
 def test_structural_constraint_registry():
     # congruence: every table on a 2-universe is compatible with both of
     # its (trivial) partitions, so constraining changes nothing at n=2
@@ -265,6 +273,12 @@ def test_composition_counts_at_n3(law, checked, skipped):
     record = enumeration._SWEEP_LAWS[law]
     assert _count(record.stream(False), record.tasks(3, 3)) == (
         checked, 0, None, {"tables": 19683, "skipped_pairs": skipped})
+
+
+def test_find_counterexample_p22_rejects_indeterminate_cells():
+    # P22 sweeps total tables only, so the flag would be silently ignored
+    with pytest.raises(ValueError, match="P22 sweeps total tables"):
+        find_counterexample("P22", SearchSpec(universe_size=2, carrier_size=2, allow_indet=True))
 
 
 def _drain(stream, limit=None):
