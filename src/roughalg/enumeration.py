@@ -406,7 +406,7 @@ def _composition_witness(carrier: Subset, cells: tuple, prop: str, phi1: Mapping
 
 def _composition_stream(prop: str, allow_indet: bool, carriers: list[Subset]):
     """Every checked pair of self-maps of each carrier, over each of its tables.
-    Returns the tables and the pairs skipped as not composable."""
+    Returns the tables and the pairs skipped as not meeting the hypothesis."""
     tables = skipped = 0
     for carrier in carriers:
         order, vals = tuple(carrier), _table_values(carrier.universe, allow_indet)
