@@ -264,54 +264,10 @@ def test_find_counterexample_composition_allow_indet(law, n, examined, witness):
         assert out.witness == witness
 
 
-@pytest.mark.parametrize("law, checked, skipped", [("P41", 62445, 14286462), ("P42", 41145, 14307762)])
-def test_composition_counts_at_n3(law, checked, skipped):
-    # ROADMAP item 7: every total table on {1 2 3} and every pair of its
-    # self-maps; the theorem holds on each checked pair
-    out = find_counterexample(law, SearchSpec(3, 3))
-    assert (out.status, out.witness, out.examined) == ("none", None, checked)
-    record = enumeration._SWEEP_LAWS[law]
-    assert _count(record.stream(False), record.tasks(3, 3)) == (
-        checked, 0, None, {"tables": 19683, "skipped_pairs": skipped})
-
-
 def test_find_counterexample_p22_rejects_indeterminate_cells():
     # P22 sweeps total tables only, so the flag would be silently ignored
     with pytest.raises(ValueError, match="P22 sweeps total tables"):
         find_counterexample("P22", SearchSpec(universe_size=2, carrier_size=2, allow_indet=True))
-
-
-def _drain(stream, limit=None):
-    """(items, return value) of the first `limit` items of an instance stream,
-    each item None if it holds or else the witness it builds; the return
-    value is None when the limit stops the stream first."""
-    items = []
-    while len(items) != limit:
-        try:
-            item = next(stream)
-        except StopIteration as end:
-            return items, end.value
-        items.append(item() if item else None)
-    return items, None
-
-
-@pytest.mark.parametrize("allow_indet", [False, True])
-@pytest.mark.parametrize("prop", ["p41", "p42"])
-def test_composition_stream_matches_object_oracle(prop, allow_indet):
-    # every carrier at n <= 3, k <= 2: every item, every witness, the return value
-    for n in range(1, 4):
-        for k in range(1, min(n, 2) + 1):
-            carriers = enumeration._carriers(canonical_universe(n), k)
-            got = _drain(enumeration._composition_stream(prop, allow_indet, carriers))
-            assert got == _drain(composition_stream_oracle(prop, allow_indet, carriers)), (n, k)
-
-
-@pytest.mark.parametrize("prop", ["p41", "p42"])
-def test_composition_stream_matches_object_oracle_n4_k3_prefix(prop):
-    carriers = enumeration._carriers(canonical_universe(4), 3)
-    got = _drain(enumeration._composition_stream(prop, True, carriers), 4000)
-    assert got == _drain(composition_stream_oracle(prop, True, carriers), 4000)
-    assert any(got[0])
 
 
 def test_approx_law_suite_counts():
@@ -627,3 +583,47 @@ def test_parallel_search_matches_oracle(jobs):
     ]
     for spec in specs:
         _assert_matches_oracle(spec, jobs)
+
+
+@pytest.mark.parametrize("law, checked, skipped", [("P41", 62445, 14286462), ("P42", 41145, 14307762)])
+def test_composition_counts_at_n3(law, checked, skipped):
+    # ROADMAP item 7: every total table on {1 2 3} and every pair of its
+    # self-maps; the theorem holds on each checked pair
+    out = find_counterexample(law, SearchSpec(3, 3))
+    assert (out.status, out.witness, out.examined) == ("none", None, checked)
+    record = enumeration._SWEEP_LAWS[law]
+    assert _count(record.stream(False), record.tasks(3, 3)) == (
+        checked, 0, None, {"tables": 19683, "skipped_pairs": skipped})
+
+
+def _drain(stream, limit=None):
+    """(items, return value) of the first `limit` items of an instance stream,
+    each item None if it holds or else the witness it builds; the return
+    value is None when the limit stops the stream first."""
+    items = []
+    while len(items) != limit:
+        try:
+            item = next(stream)
+        except StopIteration as end:
+            return items, end.value
+        items.append(item() if item else None)
+    return items, None
+
+
+@pytest.mark.parametrize("allow_indet", [False, True])
+@pytest.mark.parametrize("prop", ["p41", "p42"])
+def test_composition_stream_matches_object_oracle(prop, allow_indet):
+    # every carrier at n <= 3, k <= 2: every item, every witness, the return value
+    for n in range(1, 4):
+        for k in range(1, min(n, 2) + 1):
+            carriers = enumeration._carriers(canonical_universe(n), k)
+            got = _drain(enumeration._composition_stream(prop, allow_indet, carriers))
+            assert got == _drain(composition_stream_oracle(prop, allow_indet, carriers)), (n, k)
+
+
+@pytest.mark.parametrize("prop", ["p41", "p42"])
+def test_composition_stream_matches_object_oracle_n4_k3_prefix(prop):
+    carriers = enumeration._carriers(canonical_universe(4), 3)
+    got = _drain(enumeration._composition_stream(prop, True, carriers), 4000)
+    assert got == _drain(composition_stream_oracle(prop, True, carriers), 4000)
+    assert any(got[0])
