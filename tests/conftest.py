@@ -128,8 +128,8 @@ def _composition_witness_oracle(table: OpTable, ce) -> dict:
 def composition_stream_oracle(prop: str, allow_indet: bool, carriers: list[Subset]):
     """The P41/P42 instance stream on `OpTable`, `Mapping` and `compose`
     objects, with a `_check` report per map and per checked composite: the
-    object path that the raw-cell behaviour kernel in roughalg.enumeration
-    replaced, kept as its reference.
+    object path that `enumeration._composition_stream` replaced with the
+    raw-cell behaviour kernel, kept as its reference.
 
     Every checked pair of self-maps of each carrier, over each of its tables.
     Returns the tables and the pairs skipped as not composable."""
