@@ -46,8 +46,7 @@ def _global_flags(top_level: bool) -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=d(False),
                         help="emit a machine-readable report")
     common.add_argument("--jobs", type=_jobs, default=d(1), metavar="N",
-                        help="worker processes for search and for P22 sweeps of more than one "
-                             "task; no other laws suite starts workers (1..CPU count)")
+                        help="worker processes for search (1..CPU count)")
     common.add_argument("--assert", dest="assert_", action="store_true", default=d(False),
                         help="exit 1 on false verdicts or discrepancies")
     common.add_argument("--verbose", action="store_true", default=d(False),
@@ -329,7 +328,7 @@ def _cmd_check_morphism(args) -> tuple[dict, list[str], bool]:
 
 def _cmd_laws(args) -> tuple[dict, list[str], bool]:
     selected = [args.law] if args.law else COUNTEREXAMPLE_LAWS
-    suites = [law_suite(law, args.max_n, args.jobs) for law in selected]
+    suites = [law_suite(law, args.max_n) for law in selected]
     report = {
         "kind": "laws",
         "max_n": args.max_n,

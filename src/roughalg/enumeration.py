@@ -5,25 +5,24 @@ string, then carrier combination, then table cells row-major, then mapping
 graph), so searches are reproducible and the space can be split into
 ranges across workers without changing the output.
 
-Each law family has one instance stream over a slice of its tasks,
+Each law family has one instance stream over a list of its tasks,
 yielding per instance a falsy item if it holds, else a callable that
 builds the witness, and returning any extra counts: `_approx_stream` for
 L1-L9 and P31, `_p22_stream`, and `_composition_stream` for P41/P42.  A
 `_SweepLaw` record per law of COUNTEREXAMPLE_LAWS holds its stream, tasks,
 sweep size and hypothesis.  `_first` reduces a stream for
 `find_counterexample` under a budget; `_count` for the P22/P41/P42 suites,
-on the slices `_pmap` runs in task order, on worker processes if jobs > 1.
-The L1-L9/P31 suites are counted per block (`_block_count`).
+in-process.  The L1-L9/P31 suites are counted per block (`_block_count`).
 `_composition_stream` judges each self-map once per raw table
 (`morphisms._self_map_behaviour`); a checked pair's composite is itself one
 of the maps, so its verdict is a lookup through a composition table built
 once per carrier.  Objects are built only for a failure's witness.
 
-`search` maps `_scan` over ranges of (carrier, table) rests the same way.
-Law constraints see only a candidate's rest, so each rest is checked once,
-on raw cells, by the one worker whose range holds it; `_scan` replays the
-passing rests across partitions and returns hit indices, from which
-`search` builds the hits.
+`search` maps `_scan` over ranges of (carrier, table) rests with `_pmap`, on
+worker processes if jobs > 1.  Law constraints see only a candidate's rest,
+so each rest is checked once, on raw cells, by the one worker whose range
+holds it; `_scan` replays the passing rests across partitions and returns
+hit indices, from which `search` builds the hits.
 
 Size caps: universes up to 6 elements, table carriers up to 4, laws suites 16.
 """
@@ -434,7 +433,7 @@ def _composition_stream(prop: str, allow_indet: bool, carriers: list[Subset]):
 class _SweepLaw:
     """One sweep law; the defaults but `block_good` are those of L1-L9 and P31."""
 
-    stream: Callable[[bool], Callable]  # allow_indet -> picklable stream of a task slice
+    stream: Callable[[bool], Callable]  # allow_indet -> stream of a task list
     tasks: Callable[[int, int], list] = lambda n, k: _space_tasks(n)  # at sizes n and k
     size: Callable[[int], int] = lambda max_n: max_n  # the suite's n
     suite_drops: tuple[str, ...] = ()  # witness keys the suite leaves out
@@ -498,15 +497,11 @@ def _first(stream, budget: int) -> tuple[str, dict | None, int]:
     return "none", None, examined
 
 
-def _count(stream_fn: Callable, tasks: list) -> tuple[int, int, dict | None, dict]:
-    """(instances, failures, first witness, extra counts) over stream_fn(tasks);
-    the extra counts are what the stream returns, if anything.
-
-    Takes the stream's function and tasks, not the stream, so that `_pmap`
-    can send it to a worker process."""
+def _count(stream) -> tuple[int, int, dict | None, dict]:
+    """(instances, failures, first witness, extra counts) of a stream; the
+    extra counts are what the stream returns, if anything."""
     instances = failures = 0
     first = None
-    stream = stream_fn(tasks)
     while True:
         try:
             item = next(stream)
@@ -535,11 +530,12 @@ def find_counterexample(law: str, bounds: SearchSpec) -> FindOutcome:
 
     BudgetExhausted is a status, never an error.  The budget counts what the
     law's suite counts as instances: subset pairs, or checked mapping pairs
-    for P41 and P42.
+    for P41 and P42, the only laws that read `carrier_size` and `allow_indet`.
     """
     record = _sweep_law(law)
-    if law == "P22" and bounds.allow_indet:
-        raise ValueError("P22 sweeps total tables only, so allow_indet must be False")
+    if bounds.allow_indet and law not in ("P41", "P42"):
+        what = "total tables only" if law == "P22" else "subsets of spaces, with no table"
+        raise ValueError(f"{law} sweeps {what}, so allow_indet must be False")
     tasks = record.tasks(bounds.universe_size, bounds.carrier_size)
     return FindOutcome(law, *_first(record.stream(bounds.allow_indet)(tasks), bounds.budget))
 
@@ -567,20 +563,15 @@ def _block_count(record: _SweepLaw, max_n: int) -> tuple[int, int, dict | None, 
     return sum(every) - 1, sum(every) - sum(passing), first, {}
 
 
-def law_suite(law: str, max_n: int, jobs: int = 1) -> SuiteResult:
+def law_suite(law: str, max_n: int) -> SuiteResult:
     """Exhaustive sweep of one law at its sweep size n, with the whole
-    n-element universe as the carrier; a law without `block_good` streams on
-    up to `jobs` worker processes.  The result does not depend on jobs.
+    n-element universe as the carrier, in the calling process.
     """
     if not 1 <= max_n <= MAX_LAWS_N:
         raise SizeOutOfRangeError(f"max_n must be 1..{MAX_LAWS_N}")
     record = _sweep_law(law)
     n = record.size(max_n)
-    parts = [_block_count(record, n)] if record.block_good else _pmap(
-        _count, [(record.stream(False), part) for part in _split(record.tasks(n, n), jobs)], jobs)
-    instances = sum(p[0] for p in parts)
-    failures = sum(p[1] for p in parts)
-    first = next((p[2] for p in parts if p[2] is not None), None)
-    extra = {name: sum(p[3][name] for p in parts) for name in parts[0][3]}
+    instances, failures, first, extra = (_block_count(record, n) if record.block_good
+                                         else _count(record.stream(False)(record.tasks(n, n))))
     first = first and {k: v for k, v in first.items() if k not in record.suite_drops}
     return SuiteResult(law, instances, failures, first, tuple(extra.items()))

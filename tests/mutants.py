@@ -89,6 +89,11 @@ MUTANTS = (
            ("test_enumeration.py",)),
     Mutant("p42-second-preserves", "enumeration.py", 'if prop == "p41" else (rev, pres)',
            'if prop == "p41" else (pres, pres)', ("test_enumeration.py",)),
+    # the reducers: the suites' first witness, and find_counterexample's budget
+    Mutant("count-last-witness", "enumeration.py", "if first is None:", "if True:",
+           ("test_enumeration.py",)),
+    Mutant("first-past-budget", "enumeration.py", "if examined == budget:", "if examined > budget:",
+           ("test_enumeration.py",)),
     # classification and the structure checks
     Mutant("strict-ag4-without-c5", "algebra.py", 'for c in ("C1", "C2", "C3", "C5"))',
            'for c in ("C1", "C2", "C3"))', ("test_algebra.py", "test_acceptance.py")),
