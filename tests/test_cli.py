@@ -237,10 +237,11 @@ def test_jobs_bounded_before_any_pool(capsys, monkeypatch):
             assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("law, instances", [("L4", 57444), ("P31", 57444), ("P22", 289),
-                                             ("P41", 60), ("P42", 48)])
+@pytest.mark.parametrize("law, instances", [
+    *((law, 57444) for law in ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P31")),
+    ("P22", 289), ("P41", 60), ("P42", 48)])
 def test_laws_suites_start_no_pool(capsys, monkeypatch, law, instances):
-    # every laws suite runs in process whatever --jobs says
+    # every laws suite runs in process whatever --jobs says, and prints what --jobs 1 prints
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
@@ -249,6 +250,7 @@ def test_laws_suites_start_no_pool(capsys, monkeypatch, law, instances):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     rc, out, _ = run(capsys, ["--jobs", "2", "laws", "--max-n", "5", "--law", law])
     assert rc == 0 and f" {instances} instances checked" in out
+    assert run(capsys, ["--jobs", "1", "laws", "--max-n", "5", "--law", law]) == (0, out, "")
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

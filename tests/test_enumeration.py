@@ -269,7 +269,7 @@ def test_find_counterexample_p22_rejects_indeterminate_cells():
         find_counterexample("P22", SearchSpec(universe_size=2, carrier_size=2, allow_indet=True))
 
 
-@pytest.mark.parametrize("law", ["L4", "P31"])
+@pytest.mark.parametrize("law", ["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "P31"])
 def test_find_counterexample_subset_laws_reject_indeterminate_cells(law):
     # these laws sweep subsets of spaces and no table, so the flag would be silently ignored
     with pytest.raises(ValueError, match=f"{law} sweeps subsets of spaces"):
