@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -304,6 +305,51 @@ def _per_hit_render(hits) -> tuple[list[str], list[dict]]:
 
 
 FULL_SCAN = {"limit": 10**6, "budget": 10**6}
+
+
+def _per_hit_stdout(spec: SearchSpec, as_json: bool) -> str:
+    """What `search` prints for spec, built hit by hit by the oracle from the
+    library's hits at jobs=1."""
+    outcome = search(spec)
+    text, objects = _per_hit_render(outcome.hits)
+    if as_json:
+        report = {"kind": "search", "universe_size": spec.universe_size,
+                  "carrier_size": spec.carrier_size,
+                  "requirements": [list(r) for r in spec.law_constraints],
+                  "limit": spec.limit, "budget": spec.budget, "hits": objects,
+                  "examined": outcome.examined, "total": outcome.total,
+                  "limit_reached": outcome.limit_reached,
+                  "budget_exhausted": outcome.budget_exhausted}
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text += [f"hits = {len(outcome.hits)}", f"examined = {outcome.examined} / {outcome.total}",
+             f"limit_reached = {str(outcome.limit_reached).lower()}",
+             f"budget_exhausted = {str(outcome.budget_exhausted).lower()}"]
+    return "".join(line + "\n" for line in text)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("spec, jobs", [
+    # indeterminate cells, which the CLI cannot ask for: its SearchSpec is patched
+    (SearchSpec(3, 2, True, (("C4", "AllFalse"),), **FULL_SCAN), 1),
+    (SearchSpec(3, 3, law_constraints=(("C4", "AllFalse"),), limit=1), 1),
+    (SearchSpec(2, 2, law_constraints=(("C1", "AllTrue"), ("C1", "AllFalse")), **FULL_SCAN), 1),
+    (SearchSpec(3, 2, law_constraints=(("C4", "AllFalse"),), **FULL_SCAN), 2),
+    # 19,310 hits
+    (SearchSpec(3, 3, law_constraints=(("C4", "AllFalse"),), **FULL_SCAN), 1),
+], ids=["indeterminate", "limit-1", "no-hits", "jobs-2", "many-hits"])
+def test_search_stdout_matches_per_hit_render(capsys, monkeypatch, spec, jobs, as_json):
+    from roughalg import cli
+
+    monkeypatch.setattr(cli, "SearchSpec", functools.partial(SearchSpec, allow_indet=spec.allow_indet))
+    argv = ["--jobs", str(jobs)] + ["--json"] * as_json + [
+        "search", "--universe-size", str(spec.universe_size),
+        "--carrier-size", str(spec.carrier_size),
+        "--limit", str(spec.limit), "--budget", str(spec.budget)]
+    for law, status in spec.law_constraints:
+        argv += ["--require", f"{law}={status}"]
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "") and out == _per_hit_stdout(spec, as_json)
+    assert ("?" in out) == spec.allow_indet
 
 
 @pytest.mark.parametrize("spec, jobs", [
