@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 ran to
-completion, 1 assertion failure under --assert, 2 usage/parse/validation
-error, 3 internal error.  Identical invocations produce byte-identical
+completion, 1 assertion failure under --assert or stdout closed by its
+reader, 2 usage/parse/validation error, 3 internal error.  Identical invocations produce byte-identical
 output; --verbose adds timing on stderr only.
 """
 
@@ -18,11 +18,12 @@ from typing import Optional
 
 from .approx import ApproxSpace, approximate, space_from_partition
 from .algebra import TABLE_LAWS, classify
-from .enumeration import _SWEEP_LAWS, COUNTEREXAMPLE_LAWS, MAX_LAWS_N, SearchSpec, law_suite, search
+from .enumeration import (_SWEEP_LAWS, COUNTEREXAMPLE_LAWS, MAX_LAWS_N, SearchSpec, _row_cells, _table_rows,
+                          law_suite, search)
 from .errors import RoughAlgError
 from .fixtures import audit_paper, find_approx_claim
 from .morphisms import check_anti_group_hom, check_hom, check_rough_hom
-from .report import classification_json, partition_json, subset_json, table_json
+from .report import cell_label, classification_json, partition_json, subset_json
 from .rough_structures import check_rough_anti_semigroup, check_rough_anti_subsemigroup
 from .scenario import Scenario, parse_scenario
 
@@ -150,7 +151,8 @@ def _space(scenario: Scenario, name: str) -> ApproxSpace:
     return space_from_partition(_named(scenario, "partitions", name).partition)
 
 
-# subcommand handlers returning (report, text-lines, assert-failed); a str report is printed as is
+# subcommand handlers returning (report, text-lines, assert-failed); search writes its
+# own report, hit by hit, and returns (None, [], False)
 
 
 def _cmd_parse(args) -> tuple[dict, list[str], bool]:
@@ -354,7 +356,7 @@ def _cmd_laws(args) -> tuple[dict, list[str], bool]:
     return report, text, failed
 
 
-def _cmd_search(args) -> tuple[Optional[str], list[str], bool]:
+def _cmd_search(args) -> tuple[None, list[str], bool]:
     # (LAW, STATUS) from each LAW=STATUS; SearchSpec rejects unknown names
     requirements = tuple(item.partition("=")[::2] for item in args.require)
     try:
@@ -367,54 +369,71 @@ def _cmd_search(args) -> tuple[Optional[str], list[str], bool]:
         )
     except ValueError as e:
         raise CliInputError(f"bad --require, use LAW=STATUS: {e}") from e
+    started = time.monotonic()
     outcome = search(spec, jobs=args.jobs)
-    report = {
-        "kind": "search",
-        "universe_size": args.universe_size,
-        "carrier_size": args.carrier_size,
-        "requirements": [list(r) for r in requirements],
-        "limit": args.limit,
-        "budget": args.budget,
-        "hits": None,
-        "examined": outcome.examined,
-        "total": outcome.total,
-        "limit_reached": outcome.limit_reached,
-        "budget_exhausted": outcome.budget_exhausted,
-    }
+    scanned, out = time.monotonic(), sys.stdout
     if args.json:
-        return _splice_hits(report, _render_hits(outcome.hits, True)), [], False
-    return None, _render_hits(outcome.hits, False) + [
-        f"hits = {len(outcome.hits)}", f"examined = {outcome.examined} / {outcome.total}",
-        f"limit_reached = {str(outcome.limit_reached).lower()}",
-        f"budget_exhausted = {str(outcome.budget_exhausted).lower()}"], False
-
-
-def _render_hits(hits, as_json: bool) -> list[str]:
-    """Each hit's text lines, or its JSON object indented as in the printed
-    report, one string per hit.  Hits share one space per partition and one
-    table per rest, so each distinct one is rendered once, by identity."""
-    if as_json:
-        fmt = '    {{\n      "index": {},\n      "partition": {},\n      "table": {}\n    }}'
-        part = tab = lambda j: json.dumps(j, indent=2, sort_keys=True).replace("\n", "\n      ")
+        report = {
+            "kind": "search",
+            "universe_size": args.universe_size,
+            "carrier_size": args.carrier_size,
+            "requirements": [list(r) for r in requirements],
+            "limit": args.limit,
+            "budget": args.budget,
+            "hits": None,
+            "examined": outcome.examined,
+            "total": outcome.total,
+            "limit_reached": outcome.limit_reached,
+            "budget_exhausted": outcome.budget_exhausted,
+        }
+        # the keys sorted before "hits" hold numbers, so the first match is the key
+        head, _, tail = json.dumps(report, indent=2, sort_keys=True).partition('"hits": null')
+        out.write(head + '"hits": [')
+        _write_hits(out, outcome.hits, True)
+        out.write(("\n  ]" if outcome.hits else "]") + tail + "\n")
     else:
-        fmt = "hit (index {}):\n  partition: {}\n  carrier: {}"
-        part = lambda pj: " ".join("{" + " ".join(b) + "}" for b in pj)
-        tab = lambda tj: "{" + " ".join(tj["carrier"]) + "}" + "".join(
-            f"\n    {lab} : " + " ".join(row) for lab, row in zip(tj["carrier"], tj["rows"]))
-    memo: dict[int, str] = {}
-    for hit in hits:
-        if id(hit.space) not in memo:
-            memo[id(hit.space)] = part(partition_json(hit.space.partition))
-        if id(hit.table) not in memo:
-            memo[id(hit.table)] = tab(table_json(hit.table))
-    return [fmt.format(h.index, memo[id(h.space)], memo[id(h.table)]) for h in hits]
+        _write_hits(out, outcome.hits, False)
+        out.write(f"hits = {len(outcome.hits)}\nexamined = {outcome.examined} / {outcome.total}\n"
+                  f"limit_reached = {str(outcome.limit_reached).lower()}\n"
+                  f"budget_exhausted = {str(outcome.budget_exhausted).lower()}\n")
+    if args.verbose:
+        print(f"scan: {scanned - started:.3f}s examined={outcome.examined} hits={len(outcome.hits)}\n"
+              f"render: {time.monotonic() - scanned:.3f}s", file=sys.stderr)
+    return None, [], False
 
 
-def _splice_hits(report: dict, hits: list[str]) -> str:
-    """The printed report, its null "hits" replaced by the rendered hits (the
-    keys sorted before "hits" hold integers, so the first match is the key)."""
-    array = "[\n" + ",\n".join(hits) + "\n  ]" if hits else "[]"
-    return json.dumps(report, indent=2, sort_keys=True).replace('"hits": null', '"hits": ' + array, 1)
+def _write_hits(out, hits, as_json: bool) -> None:
+    """Write each hit's text lines, or its JSON object indented as in the
+    report, from its raw index.  Each distinct partition, carrier and table
+    row is rendered once; a hit goes out through its carrier's format string."""
+    universe, spaces, carriers, ntables = hits.fixture
+    k, labels = hits.spec.carrier_size, universe.labels
+    esc = lambda s: s.replace("{", "{{").replace("}", "}}")
+    if as_json:
+        nest = lambda j, depth: json.dumps(j, indent=2).replace("\n", "\n" + " " * depth)
+        part = lambda space: nest(partition_json(space.partition), 6)
+        fmt = lambda cj: ('{}    {{\n      "index": {},\n      "partition": {},\n      "table": {{\n'
+                          '        "carrier": ' + esc(nest(cj, 8)) + ',\n        "rows": [\n          '
+                          + ",\n          ".join(["{}"] * k) + "\n        ]\n      }}\n    }}")
+        row_text = lambda labs: nest(labs, 10)
+    else:
+        part = lambda space: " ".join("{" + " ".join(b) + "}" for b in partition_json(space.partition))
+        fmt = lambda cj: ("{}hit (index {}):\n  partition: {}\n  carrier: " + esc("{" + " ".join(cj) + "}")
+                          + "".join(f"\n    {esc(lab)} : {{}}" for lab in cj) + "\n")
+        row_text = " ".join
+    row = lambda v: row_text([cell_label(labels, c) for c in _row_cells(hits.values, k, v)])
+    parts, formats, rows = {}, {}, {}
+    sep, then = ("\n", ",\n") if as_json else ("", "")  # before the first hit, and the others
+    for idx in hits.indices:
+        sidx, rest = hits.split(idx)
+        cidx, tidx = divmod(rest, ntables)
+        if sidx not in parts:
+            parts[sidx] = part(spaces[sidx])
+        if cidx not in formats:
+            formats[cidx] = fmt(subset_json(carriers[cidx]))
+        texts = [rows[v] if v in rows else rows.setdefault(v, row(v)) for v in _table_rows(hits.spec, tidx)]
+        out.write(formats[cidx].format(sep, idx, parts[sidx], *texts))
+        sep = then
 
 
 def _cmd_audit(args) -> tuple[dict, list[str], bool]:
@@ -450,17 +469,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
     try:
         report, text, failed = args.run(args)
+        if not args.json:
+            sys.stdout.write("".join(f"{line}\n" for line in text))
+        elif report is not None:
+            print(json.dumps(report, indent=2, sort_keys=True))
     except RoughAlgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does; the exit flush must not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 3
-    if args.json:
-        print(report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write("".join(f"{line}\n" for line in text))
     if args.verbose:
         print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return 1 if args.assert_ and failed else 0

@@ -29,11 +29,14 @@ Size caps: universes up to 6 elements, table carriers up to 4, laws suites 16.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from math import comb, prod
-from typing import Callable, Iterator, Optional, Sequence
+from collections.abc import Sequence
+from typing import Callable, Iterator, Optional
 
 from .approx import (
     APPROX_LAWS,
@@ -221,15 +224,6 @@ class SearchHit:
     table: OpTable
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    hits: tuple[SearchHit, ...]
-    examined: int
-    total: int
-    limit_reached: bool
-    budget_exhausted: bool
-
-
 def _carriers(universe: Universe, k: int) -> list[Subset]:
     return [Subset.from_indices(universe, c) for c in itertools.combinations(range(universe.size), k)]
 
@@ -241,13 +235,77 @@ def _search_fixture(spec: SearchSpec):
     return universe, spaces, _carriers(universe, spec.carrier_size), ntables
 
 
+def _table_rows(spec: SearchSpec, tidx: int) -> list[int]:
+    """The rows of enum_tables' table tidx, first row first; a row is the number
+    whose k digits, in base len(values), are its cells."""
+    k, base = spec.carrier_size, (spec.universe_size + spec.allow_indet) ** spec.carrier_size
+    return [tidx // base ** (k - 1 - r) % base for r in range(k)]
+
+
+def _row_cells(values: list, k: int, row: int) -> list:
+    """The k cells of a row number, from the values of the table's cells."""
+    return [values[row // len(values) ** (k - 1 - c) % len(values)] for c in range(k)]
+
+
 def _rest_table(spec: SearchSpec, fixture, rest: int) -> OpTable:
     """Decode a candidate's rest index: its carrier, then its enum_tables table."""
     universe, _, carriers, ntables = fixture
     cidx, tidx = divmod(rest, ntables)
-    vals, ncells = _table_values(universe, spec.allow_indet), spec.carrier_size ** 2
-    cells = (vals[tidx // len(vals) ** (ncells - 1 - slot) % len(vals)] for slot in range(ncells))
+    values, k = _table_values(universe, spec.allow_indet), spec.carrier_size
+    cells = (v for row in _table_rows(spec, tidx) for v in _row_cells(values, k, row))
     return OpTable.build(universe, carriers[cidx], tuple(cells))
+
+
+class SearchHits(Sequence):
+    """A search's hits as compact candidate indices, each decoded to a
+    SearchHit on access; equal to the tuple of the decoded hits."""
+
+    def __init__(self, spec: SearchSpec, indices: array, fixture) -> None:
+        self.spec, self.indices, self.fixture = spec, indices, fixture
+        self.values = _table_values(fixture[0], spec.allow_indet)
+        self.per_space = len(fixture[2]) * fixture[3]
+
+    def split(self, idx: int) -> tuple[int, int]:
+        """A hit index's space index and rest index (carrier, then table)."""
+        return divmod(idx, self.per_space)
+
+    def _hit(self, idx: int) -> SearchHit:
+        sidx, rest = self.split(idx)
+        return SearchHit(idx, self.fixture[1][sidx], _rest_table(self.spec, self.fixture, rest))
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._hit, self.indices[i]))
+        return self._hit(self.indices[i])
+
+    def __iter__(self) -> Iterator[SearchHit]:
+        return map(self._hit, self.indices)
+
+    def __eq__(self, other) -> bool:
+        key = lambda hits: (hits.spec.universe_size, hits.spec.carrier_size, hits.spec.allow_indet)
+        if isinstance(other, SearchHits) and key(self) == key(other):
+            return self.indices == other.indices
+        if isinstance(other, (SearchHits, tuple)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"SearchHits({self.spec!r}, {self.indices!r})"
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    hits: SearchHits
+    examined: int
+    total: int
+    limit_reached: bool
+    budget_exhausted: bool
 
 
 def _passing_rests(spec: SearchSpec, fixture, lo: int, hi: int) -> Iterator[int]:
@@ -267,7 +325,7 @@ def _passing_rests(spec: SearchSpec, fixture, lo: int, hi: int) -> Iterator[int]
                 yield rest
 
 
-def _scan(spec: SearchSpec, lo: int, hi: int) -> list[int]:
+def _scan(spec: SearchSpec, lo: int, hi: int) -> array:
     """Indices of the hits whose rest (carrier, then table) is in lo..hi-1, in
     canonical order, stopping at spec.limit or the budget.
 
@@ -278,8 +336,7 @@ def _scan(spec: SearchSpec, lo: int, hi: int) -> list[int]:
     _, spaces, carriers, ntables = fixture
     per_space = len(carriers) * ntables
     end = min(len(spaces) * per_space, spec.budget)
-    passing: list[int] = []
-    hits = []
+    passing, hits = array("q"), array("q")
     for sidx, space in enumerate(spaces):
         first = sidx == 0
         for rest in _passing_rests(spec, fixture, lo, hi) if first else passing:
@@ -314,13 +371,10 @@ def search(spec: SearchSpec, jobs: int = 1) -> SearchOutcome:
     # hits are all in the union.
     ranges = _split(range(min(per_space, end)), jobs)
     parts = _pmap(_scan, [(spec, r.start, r.stop) for r in ranges], jobs)
-    indices = sorted(idx for part in parts for idx in part)[: spec.limit]
-    # hits that differ only in the partition share a table
-    tables = {rest: _rest_table(spec, fixture, rest) for rest in {i % per_space for i in indices}}
-    hits = [SearchHit(i, spaces[i // per_space], tables[i % per_space]) for i in indices]
-    limit_reached = len(hits) == spec.limit
+    indices = array("q", itertools.islice(heapq.merge(*parts), min(spec.limit, sum(map(len, parts)))))
+    limit_reached = len(indices) == spec.limit
     return SearchOutcome(
-        hits=tuple(hits),
+        hits=SearchHits(spec, indices, fixture),
         examined=indices[-1] + 1 if limit_reached else end,
         total=total,
         limit_reached=limit_reached,

@@ -19,13 +19,14 @@ def partition_json(p: Partition) -> list[list[str]]:
     return [list(b.labels()) for b in p.blocks]
 
 
+def cell_label(labels: tuple[str, ...], value) -> str:
+    """How a table cell prints: "?" if indeterminate, else its element's label."""
+    return "?" if value is INDET else labels[value]
+
+
 def table_json(t: OpTable) -> dict:
     labs = t.universe.labels
-    rows = [
-        ["?" if t.cells[r * t.k + c] is INDET else labs[t.cells[r * t.k + c]]
-         for c in range(t.k)]
-        for r in range(t.k)
-    ]
+    rows = [[cell_label(labs, t.cells[r * t.k + c]) for c in range(t.k)] for r in range(t.k)]
     return {"carrier": [labs[i] for i in t.order], "rows": rows}
 
 

@@ -94,6 +94,20 @@ MUTANTS = (
            ("test_enumeration.py",)),
     Mutant("first-past-budget", "enumeration.py", "if examined == budget:", "if examined > budget:",
            ("test_enumeration.py",)),
+    # search: the scan's budget stop and range start, and the hit decoder and
+    # renderer behind SearchOutcome.hits and the CLI report
+    Mutant("scan-budget-one-past", "enumeration.py", "if idx >= end:", "if idx > end:",
+           ("test_enumeration.py",)),
+    Mutant("passing-rests-start-off-by-one", "enumeration.py", "itertools.islice(tables, first - cidx * ntables, None)",
+           "itertools.islice(tables, first - cidx * ntables + 1, None)", ("test_enumeration.py",)),
+    Mutant("hit-rows-reversed", "enumeration.py", "tidx // base ** (k - 1 - r) % base", "tidx // base ** r % base",
+           ("test_enumeration.py", "test_cli.py")),
+    Mutant("hit-split-swapped", "enumeration.py", "return divmod(idx, self.per_space)",
+           "return divmod(idx, self.per_space)[::-1]", ("test_enumeration.py", "test_cli.py")),
+    Mutant("row-memo-by-position", "cli.py",
+           "[rows[v] if v in rows else rows.setdefault(v, row(v)) for v in _table_rows(hits.spec, tidx)]",
+           "[rows[r] if r in rows else rows.setdefault(r, row(v)) for r, v in enumerate(_table_rows(hits.spec, tidx))]",
+           ("test_cli.py",)),
     # classification and the structure checks
     Mutant("strict-ag4-without-c5", "algebra.py", 'for c in ("C1", "C2", "C3", "C5"))',
            'for c in ("C1", "C2", "C3"))', ("test_algebra.py", "test_acceptance.py")),

@@ -1,7 +1,10 @@
 import argparse
 import functools
+import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 
 import roughalg
 from roughalg import EXAMPLE31_RAS, SearchSpec, search
-from roughalg.cli import _render_hits, _splice_hits, build_parser, main
+from roughalg.cli import _write_hits, build_parser, main
 from roughalg.enumeration import _SWEEP_LAWS, COUNTEREXAMPLE_LAWS
 from roughalg.report import REPORT_SCHEMA, partition_json, table_json
 
@@ -279,6 +282,11 @@ def test_verbose_goes_to_stderr(capsys, ras):
      "--limit", "1000000", "--budget", "1000000"],
     ["--json", "search", "--universe-size", "3", "--carrier-size", "2",
      "--require", "C4=AllFalse", "--limit", "1000000", "--budget", "1000000"],
+    # 19,310 hits
+    ["search", "--universe-size", "3", "--carrier-size", "3", "--require", "C4=AllFalse",
+     "--limit", "1000000", "--budget", "1000000"],
+    ["--json", "search", "--universe-size", "3", "--carrier-size", "3",
+     "--require", "C4=AllFalse", "--limit", "1000000", "--budget", "1000000"],
     ["laws", "--max-n", "2"],
     ["--json", "laws", "--max-n", "2"],
 ], ids=" ".join)
@@ -286,6 +294,16 @@ def test_verbose_leaves_stdout_unchanged(capsys, argv):
     quiet = run(capsys, argv)
     loud = run(capsys, argv + ["--verbose"])
     assert quiet[:2] == loud[:2] and quiet[2] == "" and "elapsed" in loud[2]
+    if "search" in argv:
+        # search adds its scan and render times, and the hits and examined it reports
+        if "--json" in argv:
+            report = json.loads(quiet[1])
+            hits, examined = len(report["hits"]), report["examined"]
+        else:
+            hits = int(re.search(r"^hits = (\d+)$", quiet[1], re.M)[1])
+            examined = int(re.search(r"^examined = (\d+) /", quiet[1], re.M)[1])
+        assert re.match(rf"scan: \d+\.\d{{3}}s examined={examined} hits={hits}\n"
+                        r"render: \d+\.\d{3}s\nelapsed: ", loud[2])
 
 
 # The CLI's former per-hit rendering, the oracle for _render_hits and
@@ -350,6 +368,8 @@ def test_search_stdout_matches_per_hit_render(capsys, monkeypatch, spec, jobs, a
     rc, out, err = run(capsys, argv)
     assert (rc, err) == (0, "") and out == _per_hit_stdout(spec, as_json)
     assert ("?" in out) == spec.allow_indet
+    if as_json:
+        jsonschema.validate(json.loads(out), REPORT_SCHEMA)
 
 
 @pytest.mark.parametrize("spec, jobs", [
@@ -362,18 +382,56 @@ def test_search_stdout_matches_per_hit_render(capsys, monkeypatch, spec, jobs, a
 def test_rendered_hits_match_per_hit_render(spec, jobs):
     outcome = search(spec, jobs=jobs)
     text, objects = _per_hit_render(outcome.hits)
-    assert "\n".join(_render_hits(outcome.hits, False)) == "\n".join(text)
-    report = {"kind": "search", "universe_size": spec.universe_size,
-              "carrier_size": spec.carrier_size,
-              "requirements": [list(r) for r in spec.law_constraints],
-              "limit": spec.limit, "budget": spec.budget, "hits": None,
-              "examined": outcome.examined, "total": outcome.total,
-              "limit_reached": outcome.limit_reached,
-              "budget_exhausted": outcome.budget_exhausted}
-    spliced = _splice_hits(report, _render_hits(outcome.hits, True))
-    assert spliced == json.dumps({**report, "hits": objects}, indent=2, sort_keys=True)
-    jsonschema.validate(json.loads(spliced), REPORT_SCHEMA)
-    assert ("?" in spliced) == spec.allow_indet
+    written = []
+    for as_json in (False, True):
+        out = io.StringIO()
+        _write_hits(out, outcome.hits, as_json)
+        written.append(out.getvalue())
+    assert written[0] == "".join(line + "\n" for line in text)
+    # the hits array of an indented report, between its brackets
+    array = '{\n  "hits": [' + written[1] + ("\n  ]" if objects else "]") + "\n}"
+    assert array == json.dumps({"hits": objects}, indent=2, sort_keys=True)
+    assert ("?" in written[1]) == spec.allow_indet
+
+
+# The unconstrained n = 3, k = 3 scan: 98,415 hits and 49 MB of --json
+# stdout.  This digest was recorded when each report was built in memory,
+# which peaked at about 252 MB.
+ALL_HITS_N3K3_JSON_SHA256 = "28f77ce67e1d53f796668e376ecd6d0e07de1d7a3b2bece8bba6c3759372da2d"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak from /proc")
+def test_many_hit_json_search_streams_in_bounded_memory(tmp_path):
+    # A fresh interpreter writes the report to a file and reports its own peak
+    # resident set, VmHWM in KiB.  Not ru_maxrss: Linux carries the peak of the
+    # forking process (here pytest, about 80 MB) across exec into it.
+    src = str(Path(roughalg.__file__).resolve().parents[1])
+    code = ("import sys; from roughalg.cli import main; rc = main(sys.argv[1:]); sys.stdout.flush(); "
+            "print(rc, *(line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')), file=sys.stderr)")
+    argv = ["--json", "search", "--universe-size", "3", "--carrier-size", "3",
+            "--limit", "1000000", "--budget", "1000000"]
+    out = tmp_path / "search.json"
+    with out.open("wb") as fh:
+        done = subprocess.run([sys.executable, "-c", code, *argv], stdout=fh, stderr=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    rc, peak_kib = map(int, done.stderr.split())
+    assert rc == 0 and peak_kib < 48 * 1024
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_HITS_N3K3_JSON_SHA256
+
+
+def test_closed_stdout_exits_1_quietly():
+    # a reader that stops early, as `| head` does, ends a streamed search
+    # report with exit 1 and nothing on stderr, not an internal error
+    src = str(Path(roughalg.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "roughalg.cli", "search", "--universe-size", "3",
+                             "--carrier-size", "3", "--limit", "1000000", "--budget", "1000000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"hit (index 0):\n"
+    proc.stdout.close()
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+    proc.stderr.close()
 
 
 def test_rough_kind_needs_spaces(capsys, morph_ras):

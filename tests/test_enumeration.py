@@ -25,12 +25,13 @@ from roughalg.algebra import STATUSES, TABLE_LAWS
 from roughalg import enumeration
 from roughalg.approx import _LAW_BAD, _lower_upper
 from roughalg.cli import main
-from roughalg.enumeration import (COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, _approx_stream,
+from roughalg.enumeration import (COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, SearchHit, _approx_stream,
                                   _count, _scan, _space_tasks, bell_number, law_suite)
 from roughalg.errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
 from roughalg.report import REPORT_SCHEMA
 
 from conftest import composition_stream_oracle, law_counts_oracle, status_oracle
+from test_golden import STRUCTURAL_SPECS
 
 
 def bell_oracle(n: int) -> int:
@@ -537,7 +538,7 @@ def test_scan_ranges_match_oracle():
         hi = rng.randint(lo + 1, per_space)
         every = _oracle_hits(dataclasses.replace(spec, limit=10**9), 0, spec.budget)
         expect = [idx for idx in every if lo <= idx % per_space < hi][: spec.limit]
-        assert _scan(spec, lo, hi) == expect
+        assert _scan(spec, lo, hi).tolist() == expect
 
 
 @pytest.mark.parametrize("spec", [
@@ -564,6 +565,60 @@ def test_scan_parts_check_each_rest_once(spec, monkeypatch):
         counts.append(calls)
     # every rest is checked against its first law at least
     assert counts[0] >= _per_space(spec) and counts == [counts[0]] * 3
+
+
+@lru_cache(maxsize=None)
+def _candidates(n: int, k: int, allow_indet: bool) -> list:
+    """(space, table) of every candidate, in index order, each built on its own."""
+    u = canonical_universe(n)
+    return [(space, table) for space in enum_spaces(n, u)
+            for carrier in itertools.combinations(range(n), k)
+            for table in enum_tables(u, Subset.from_indices(u, carrier), allow_indet)]
+
+
+LAZY_SPECS = {**STRUCTURAL_SPECS,
+              "indeterminate C1=Mixed": SearchSpec(3, 2, True, (("C1", "Mixed"),),
+                                                   limit=10**6, budget=10**6)}
+
+
+@pytest.mark.parametrize("name", LAZY_SPECS)
+def test_lazy_hits_behave_as_the_decoded_tuple(name):
+    # SearchOutcome.hits decodes each compact index on access; against the
+    # tuple of hits decoded one by one, it gives the same len, items (negative
+    # indices and slices too), iteration and equality, at every jobs
+    spec = LAZY_SPECS[name]
+    cands = _candidates(spec.universe_size, spec.carrier_size, spec.allow_indet)
+    outcomes = [search(spec, jobs=jobs) for jobs in (1, 2, 3)]
+    for out in outcomes:
+        hits = out.hits
+        decoded = tuple(SearchHit(i, *cands[i]) for i in hits.indices)
+        n = len(hits)
+        assert n == len(decoded) and bool(hits) == bool(decoded)
+        assert list(hits) == list(decoded) and tuple(reversed(hits)) == decoded[::-1]
+        for i in {0, 1, n // 2, -1, -2, -n} & set(range(-n, n)):
+            assert hits[i] == decoded[i]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                hits[bad]
+        assert hits[1:3] == decoded[1:3] and hits[::-7] == decoded[::-7]
+        assert hits == decoded and decoded == hits and hits == outcomes[0].hits
+        if n > 1:
+            assert hits != decoded[:-1] and hits != decoded[1:] + decoded[:1]
+        # outcome equality and hashing are those of the outcome holding the tuple
+        eager = dataclasses.replace(out, hits=decoded)
+        assert out == eager and hash(out) == hash(eager) and out == outcomes[0]
+        assert out != dataclasses.replace(eager, examined=out.examined + 1)
+        assert {out: 1}[eager] == 1
+
+
+def test_lazy_hits_compare_by_decoded_hits_across_specs():
+    # indices 0 and 1 decode to the same tables with or without indeterminate
+    # cells, so those hits are equal, but not index 2; nor any hit at another
+    # universe size
+    plain, indet = (search(SearchSpec(2, 2, allow_indet, limit=3)).hits for allow_indet in (False, True))
+    assert plain[:2] == indet[:2] and plain[2] != indet[2] and plain != indet
+    assert search(SearchSpec(2, 2, limit=2)).hits == search(SearchSpec(2, 2, True, limit=2)).hits
+    assert search(SearchSpec(2, 1, limit=1)).hits != search(SearchSpec(3, 1, limit=1)).hits
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
