@@ -18,8 +18,8 @@ from typing import Optional
 
 from .approx import ApproxSpace, approximate, space_from_partition
 from .algebra import TABLE_LAWS, classify
-from .enumeration import (_SWEEP_LAWS, COUNTEREXAMPLE_LAWS, MAX_LAWS_N, SearchSpec, _row_cells, _table_rows,
-                          law_suite, search)
+from .enumeration import (_SWEEP_LAWS, COUNTEREXAMPLE_LAWS, MAX_LAWS_N, SearchSpec, _row_cells, law_suite,
+                          search)
 from .errors import RoughAlgError
 from .fixtures import audit_paper, find_approx_claim
 from .morphisms import check_anti_group_hom, check_hom, check_rough_hom
@@ -406,7 +406,7 @@ def _write_hits(out, hits, as_json: bool) -> None:
     """Write each hit's text lines, or its JSON object indented as in the
     report, from its raw index.  Each distinct partition, carrier and table
     row is rendered once; a hit goes out through its carrier's format string."""
-    universe, spaces, carriers, ntables = hits.fixture
+    universe, spaces, carriers, _ = hits.fixture
     k, labels = hits.spec.carrier_size, universe.labels
     esc = lambda s: s.replace("{", "{{").replace("}", "}}")
     if as_json:
@@ -425,13 +425,12 @@ def _write_hits(out, hits, as_json: bool) -> None:
     parts, formats, rows = {}, {}, {}
     sep, then = ("\n", ",\n") if as_json else ("", "")  # before the first hit, and the others
     for idx in hits.indices:
-        sidx, rest = hits.split(idx)
-        cidx, tidx = divmod(rest, ntables)
+        sidx, cidx, table_rows = hits.split(idx)
         if sidx not in parts:
             parts[sidx] = part(spaces[sidx])
         if cidx not in formats:
             formats[cidx] = fmt(subset_json(carriers[cidx]))
-        texts = [rows[v] if v in rows else rows.setdefault(v, row(v)) for v in _table_rows(hits.spec, tidx)]
+        texts = [rows[v] if v in rows else rows.setdefault(v, row(v)) for v in table_rows]
         out.write(formats[cidx].format(sep, idx, parts[sidx], *texts))
         sep = then
 

@@ -22,7 +22,10 @@ once per carrier.  Objects are built only for a failure's witness.
 worker processes if jobs > 1.  Law constraints see only a candidate's rest,
 so each rest is checked once, on raw cells, by the one worker whose range
 holds it; `_scan` replays the passing rests across partitions and returns
-hit indices, from which `search` builds the hits.
+hit indices in an `array('q')`, which `search` merges in order.  The hits
+stay compact indices, 8 bytes each: `SearchHits` decodes a `SearchHit` only
+on access, and the CLI renders each hit from its index (space, carrier and
+table rows; `SearchHits.split`), so a report is written without building one.
 
 Size caps: universes up to 6 elements, table carriers up to 4, laws suites 16.
 """
@@ -235,11 +238,12 @@ def _search_fixture(spec: SearchSpec):
     return universe, spaces, _carriers(universe, spec.carrier_size), ntables
 
 
-def _table_rows(spec: SearchSpec, tidx: int) -> list[int]:
-    """The rows of enum_tables' table tidx, first row first; a row is the number
-    whose k digits, in base len(values), are its cells."""
+def _rest_rows(spec: SearchSpec, ntables: int, rest: int) -> tuple[int, list[int]]:
+    """A rest index's carrier index and the rows of its enum_tables table, first
+    row first; a row is the number whose k digits, in base len(values), are its cells."""
+    cidx, tidx = divmod(rest, ntables)
     k, base = spec.carrier_size, (spec.universe_size + spec.allow_indet) ** spec.carrier_size
-    return [tidx // base ** (k - 1 - r) % base for r in range(k)]
+    return cidx, [tidx // base ** (k - 1 - r) % base for r in range(k)]
 
 
 def _row_cells(values: list, k: int, row: int) -> list:
@@ -247,13 +251,11 @@ def _row_cells(values: list, k: int, row: int) -> list:
     return [values[row // len(values) ** (k - 1 - c) % len(values)] for c in range(k)]
 
 
-def _rest_table(spec: SearchSpec, fixture, rest: int) -> OpTable:
-    """Decode a candidate's rest index: its carrier, then its enum_tables table."""
-    universe, _, carriers, ntables = fixture
-    cidx, tidx = divmod(rest, ntables)
+def _table(spec: SearchSpec, fixture, cidx: int, rows: list[int]) -> OpTable:
+    """The table of a carrier index and its rows (`_rest_rows`)."""
+    universe, _, carriers, _ = fixture
     values, k = _table_values(universe, spec.allow_indet), spec.carrier_size
-    cells = (v for row in _table_rows(spec, tidx) for v in _row_cells(values, k, row))
-    return OpTable.build(universe, carriers[cidx], tuple(cells))
+    return OpTable.build(universe, carriers[cidx], tuple(v for row in rows for v in _row_cells(values, k, row)))
 
 
 class SearchHits(Sequence):
@@ -265,13 +267,14 @@ class SearchHits(Sequence):
         self.values = _table_values(fixture[0], spec.allow_indet)
         self.per_space = len(fixture[2]) * fixture[3]
 
-    def split(self, idx: int) -> tuple[int, int]:
-        """A hit index's space index and rest index (carrier, then table)."""
-        return divmod(idx, self.per_space)
+    def split(self, idx: int) -> tuple[int, int, list[int]]:
+        """A hit index's space index, carrier index and table rows (`_rest_rows`)."""
+        sidx, rest = divmod(idx, self.per_space)
+        return (sidx, *_rest_rows(self.spec, self.fixture[3], rest))
 
     def _hit(self, idx: int) -> SearchHit:
-        sidx, rest = self.split(idx)
-        return SearchHit(idx, self.fixture[1][sidx], _rest_table(self.spec, self.fixture, rest))
+        sidx, cidx, rows = self.split(idx)
+        return SearchHit(idx, self.fixture[1][sidx], _table(self.spec, self.fixture, cidx, rows))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -346,7 +349,7 @@ def _scan(spec: SearchSpec, lo: int, hi: int) -> array:
             if first:
                 passing.append(rest)
             if spec.structural_constraints:
-                table = _rest_table(spec, fixture, rest)
+                table = _table(spec, fixture, *_rest_rows(spec, ntables, rest))
                 if not all(STRUCTURAL_CONSTRAINTS[name](space, table)
                            for name in spec.structural_constraints):
                     continue

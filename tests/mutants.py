@@ -102,11 +102,11 @@ MUTANTS = (
            "itertools.islice(tables, first - cidx * ntables + 1, None)", ("test_enumeration.py",)),
     Mutant("hit-rows-reversed", "enumeration.py", "tidx // base ** (k - 1 - r) % base", "tidx // base ** r % base",
            ("test_enumeration.py", "test_cli.py")),
-    Mutant("hit-split-swapped", "enumeration.py", "return divmod(idx, self.per_space)",
-           "return divmod(idx, self.per_space)[::-1]", ("test_enumeration.py", "test_cli.py")),
+    Mutant("hit-split-swapped", "enumeration.py", "sidx, rest = divmod(idx, self.per_space)",
+           "rest, sidx = divmod(idx, self.per_space)", ("test_enumeration.py", "test_cli.py")),
     Mutant("row-memo-by-position", "cli.py",
-           "[rows[v] if v in rows else rows.setdefault(v, row(v)) for v in _table_rows(hits.spec, tidx)]",
-           "[rows[r] if r in rows else rows.setdefault(r, row(v)) for r, v in enumerate(_table_rows(hits.spec, tidx))]",
+           "[rows[v] if v in rows else rows.setdefault(v, row(v)) for v in table_rows]",
+           "[rows[r] if r in rows else rows.setdefault(r, row(v)) for r, v in enumerate(table_rows)]",
            ("test_cli.py",)),
     # classification and the structure checks
     Mutant("strict-ag4-without-c5", "algebra.py", 'for c in ("C1", "C2", "C3", "C5"))',
