@@ -2,8 +2,9 @@
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 ran to
 completion, 1 assertion failure under --assert or stdout closed by its
-reader, 2 usage/parse/validation error, 3 internal error.  Identical invocations produce byte-identical
-output; --verbose adds timing on stderr only.
+reader, 2 usage/parse/validation error, 3 internal error.  Identical
+invocations produce byte-identical output; --verbose adds timing on stderr
+only.
 """
 
 from __future__ import annotations

@@ -35,10 +35,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from math import comb, prod
-from collections.abc import Sequence
 from typing import Callable, Iterator, Optional
 
 from .approx import (
