@@ -306,9 +306,9 @@ def test_verbose_leaves_stdout_unchanged(capsys, argv):
                         r"render: \d+\.\d{3}s\nelapsed: ", loud[2])
 
 
-# The CLI's former per-hit rendering, the oracle for _render_hits and
-# _splice_hits: every hit's text lines and JSON object, from partition_json
-# and table_json each time.
+# The CLI's former per-hit rendering, the oracle for the streamed search
+# report (_write_hits): every hit's text lines and JSON object, from
+# partition_json and table_json each time.
 def _per_hit_render(hits) -> tuple[list[str], list[dict]]:
     text, objects = [], []
     for hit in hits:
