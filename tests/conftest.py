@@ -24,7 +24,7 @@ from roughalg import (
     make_universe,
     set_product,
 )
-from roughalg.algebra import RelationCheck
+from roughalg.algebra import CongruenceReport, RelationCheck
 from roughalg.approx import _witness
 from roughalg.enumeration import enum_mappings, enum_tables
 from roughalg.morphisms import _composition_outcomes
@@ -118,6 +118,34 @@ def product_relations_oracle(space: ApproxSpace, table: OpTable, x: Subset,
         incl("c", lo_prod, aprod.lower),
         incl("d", aprod.lower, lo_prod),
     )
+
+
+def congruence_oracle(space: ApproxSpace, table: OpTable) -> CongruenceReport:
+    """is_congruence by walking every (x, x', y, y') with x ~ x' and y ~ y':
+    the four-deep loop that the block-product kernel in roughalg.algebra
+    replaced, kept as its reference.  Products x*y and x'*y' must lie in one
+    class whenever both are determinate; the witness is the least failing
+    quadruple, and each quadruple counts as checked or indeterminate."""
+    u, cls, n = table.universe, space.class_of, table.universe.size
+    checked = indet = 0
+    witness = None
+    for x in range(n):
+        for x2 in range(n):
+            if cls[x] != cls[x2]:
+                continue
+            for y in range(n):
+                for y2 in range(n):
+                    if cls[y] != cls[y2]:
+                        continue
+                    p = table.value_at(table.pos[x], table.pos[y])
+                    q = table.value_at(table.pos[x2], table.pos[y2])
+                    if p is None or q is None:
+                        indet += 1
+                        continue
+                    checked += 1
+                    if cls[p] != cls[q] and witness is None:
+                        witness = (u.labels[x], u.labels[x2], u.labels[y], u.labels[y2])
+    return CongruenceReport(witness is None, witness, checked, indet)
 
 
 def _composition_witness_oracle(table: OpTable, ce) -> dict:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +31,8 @@ from roughalg.errors import (
     UnknownResultLabelError,
 )
 
-from conftest import (blocks_from_rgs, law_counts_oracle, product_relations_oracle,
-                      status_oracle, table_dict)
+from conftest import (blocks_from_rgs, congruence_oracle, law_counts_oracle, product_relations_oracle,
+                      random_rgs, status_oracle, table_dict)
 
 
 def trivial_table():
@@ -313,6 +314,35 @@ def test_is_congruence(z4):
     half = make_table(small, Subset.from_labels(small, ["a"]), {("a", "a"): "a"})
     with pytest.raises(CarrierNotFullError):
         is_congruence(part, half)
+
+
+def test_is_congruence_matches_oracle_exhaustive_small():
+    # every space and every full-carrier table with indeterminate cells at
+    # n = 1 and 2; all of them are congruences, so this covers only that side
+    for n in (1, 2):
+        u = make_universe([str(i) for i in range(n)])
+        for space in enum_spaces(n, u):
+            for cells in itertools.product([None, *range(n)], repeat=n * n):
+                table = OpTable.build(u, Subset.full(u), cells)
+                assert is_congruence(space, table) == congruence_oracle(space, table), cells
+
+
+def test_is_congruence_matches_oracle_random():
+    # 300 seeded (space, table) pairs at each of n = 3 and 4, with
+    # indeterminate cells; both verdicts must occur, so the failing side
+    # (and its least witness) is compared too
+    rng = random.Random(13)
+    verdicts = set()
+    for n in (3, 4):
+        u = make_universe([str(i) for i in range(n)])
+        for _ in range(300):
+            space = make_space(u, blocks_from_rgs(u, random_rgs(rng, n)))
+            cells = tuple(rng.choice([None, *range(n)]) for _ in range(n * n))
+            table = OpTable.build(u, Subset.full(u), cells)
+            report = is_congruence(space, table)
+            assert report == congruence_oracle(space, table), (space.class_of, cells)
+            verdicts.add(report.holds)
+    assert verdicts == {True, False}
 
 
 def test_product_approx_laws_z4(z4):
