@@ -29,7 +29,9 @@ tallies it; `_has_status`, for `search`, stops where the status is ruled out.
 
 The product relations (a)-(d) are one mask kernel, `_product_relations`, which
 `check_product_approx_laws` runs on memoised lookups and the P22 sweep on lookup
-tables; `_set_product` is the one definition of a set product.
+tables; `_set_product` is the one definition of a set product.  A partition is
+a congruence exactly when each block pair's set product lies inside one block:
+`_congruent` decides that for `is_congruence`, the P22 sweep and search.
 """
 
 from __future__ import annotations
@@ -458,36 +460,31 @@ class CongruenceReport:
     indeterminate: int
 
 
+def _congruent(blocks, pr) -> bool:
+    """Whether the partition with these block masks is a congruence: each
+    block pair's set product pr(a, b) lies inside one block."""
+    return all(any(not p & ~c for c in blocks) for p in (pr(a, b) for a in blocks for b in blocks))
+
+
 def is_congruence(space: ApproxSpace, table: OpTable) -> CongruenceReport:
-    """x ~ x' and y ~ y' must force x*y ~ x'*y' whenever both are determinate."""
-    u = table.universe
+    """x ~ x' and y ~ y' must force x*y ~ x'*y' whenever both are determinate.
+
+    The verdict is `_congruent`'s.  A quadruple (x, x', y, y') is checked when
+    both products are determinate: d*d of them in blocks A x B with d
+    determinate cells.  The least failing quadruple is searched on failure."""
+    u, n, cells, cls = table.universe, table.universe.size, table.cells, space.class_of
     if table.carrier.mask != u.full_mask():
         raise CarrierNotFullError("congruence check needs a table on the whole universe")
     if space.universe != u:
-        raise CarrierNotFullError("space and table universes differ")
-    cls = space.class_of
-    n = u.size
-    checked = indet = 0
-    witness = None
-    holds = True
-    for x in range(n):
-        for x2 in range(n):
-            if cls[x] != cls[x2]:
-                continue
-            for y in range(n):
-                for y2 in range(n):
-                    if cls[y] != cls[y2]:
-                        continue
-                    p = table.value_at(table.pos[x], table.pos[y])
-                    q = table.value_at(table.pos[x2], table.pos[y2])
-                    if p is INDET or q is INDET:
-                        indet += 1
-                        continue
-                    checked += 1
-                    if cls[p] != cls[q] and holds:
-                        holds = False
-                        witness = (u.labels[x], u.labels[x2], u.labels[y], u.labels[y2])
-    return CongruenceReport(holds, witness, checked, indet)
+        raise UniverseMismatchError("space and table universes differ")
+    blocks = [tuple(b) for b in space.partition.blocks]
+    checked = sum(sum(cells[x * n + y] is not INDET for x in a for y in b) ** 2 for a in blocks for b in blocks)
+    failing = ((x, x2, y, y2) for x, x2, y, y2 in itertools.product(range(n), repeat=4)
+               if cls[x] == cls[x2] and cls[y] == cls[y2]
+               and INDET not in (p := cells[x * n + y], q := cells[x2 * n + y2]) and cls[p] != cls[q])
+    holds = _congruent([b.mask for b in space.partition.blocks], partial(_set_product, table))
+    witness = None if holds else tuple(u.labels[i] for i in next(failing))
+    return CongruenceReport(holds, witness, checked, sum(len(b) ** 2 for b in blocks) ** 2 - checked)
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,8 @@ from .approx import (
     make_universe,
     space_from_partition,
 )
-from .algebra import (STATUSES, TABLE_LAWS, OpTable, _has_status, _product_relations,
-                      _set_product, evaluate_law, is_congruence)  # noqa: F401 (bench/micro.py patches evaluate_law here)
+from .algebra import (STATUSES, TABLE_LAWS, OpTable, _congruent, _has_status, _product_relations,
+                      _set_product, evaluate_law)  # noqa: F401 (bench/micro.py patches evaluate_law here)
 from .errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
 from .morphisms import Mapping, _composition_outcomes, _self_map_behaviour
 from .report import partition_json, table_json
@@ -207,9 +207,8 @@ class SearchSpec:
 
 
 def _struct_congruence(space: ApproxSpace, table: OpTable) -> bool:
-    if table.carrier.mask != table.universe.full_mask():
-        return False
-    return is_congruence(space, table).holds
+    return (table.carrier.mask == table.universe.full_mask()
+            and _congruent([b.mask for b in space.partition.blocks], partial(_set_product, table)))
 
 
 STRUCTURAL_CONSTRAINTS = {
@@ -435,11 +434,11 @@ def _p22_stream(tasks: list[tuple[int, int]]):
     congruent instances and their failures of inclusion (a), a theorem there, and of the equality."""
     congruent = inclusion = equality = 0
     for space, full, lower, upper in _task_spaces(tasks):
-        masks = range(full + 1)
+        masks, blocks = range(full + 1), [b.mask for b in space.partition.blocks]
         for table in enum_tables(space.universe, Subset.full(space.universe)):
-            cong = is_congruence(space, table).holds
             prods = [[_set_product(table, a, b) for b in masks] for a in masks]
             pr = lambda a, b: prods[a][b]
+            cong = _congruent(blocks, pr)
             for x in masks[1:]:
                 for y in masks[1:]:
                     bad = _product_relations(lower, upper, pr, x, y)

@@ -314,6 +314,9 @@ def test_is_congruence(z4):
     half = make_table(small, Subset.from_labels(small, ["a"]), {("a", "a"): "a"})
     with pytest.raises(CarrierNotFullError):
         is_congruence(part, half)
+    other = make_universe(["a", "c"])
+    with pytest.raises(UniverseMismatchError, match="universes differ"):
+        is_congruence(part, make_table(other, Subset.full(other), {(x, y): "a" for x in "ac" for y in "ac"}))
 
 
 def test_is_congruence_matches_oracle_exhaustive_small():
