@@ -56,7 +56,7 @@ from .approx import (
 )
 from .algebra import (STATUSES, TABLE_LAWS, OpTable, _congruent, _has_status, _product_relations,
                       _set_product, evaluate_law)  # noqa: F401 (bench/micro.py patches evaluate_law here)
-from .errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
+from .errors import EmptyCarrierError, EmptySetError, NotInCarrierError, SizeOutOfRangeError
 from .morphisms import Mapping, _composition_outcomes, _self_map_behaviour
 from .report import partition_json, table_json
 from .rough_structures import check_rough_anti_semigroup
@@ -131,6 +131,8 @@ def _table_values(universe: Universe, allow_indet: bool) -> list[Optional[int]]:
 
 def enum_tables(universe: Universe, carrier: Subset, allow_indet: bool = False) -> Iterator[OpTable]:
     """All (|U| + indet)^(k*k) tables on the carrier, row-major lexicographic."""
+    if carrier.universe != universe:
+        raise NotInCarrierError("carrier declared over a different universe")
     if not carrier:
         raise EmptyCarrierError("carrier is empty")
     if universe.size > MAX_UNIVERSE or len(carrier) > MAX_TABLE_CARRIER:
@@ -589,6 +591,8 @@ def find_counterexample(law: str, bounds: SearchSpec) -> FindOutcome:
     for P41 and P42, the only laws that read `carrier_size` and `allow_indet`.
     """
     record = _sweep_law(law)
+    if bounds.law_constraints or bounds.structural_constraints or bounds.limit != 1:
+        raise ValueError("find_counterexample takes no constraints, and a limit of 1")
     if bounds.allow_indet and law not in ("P41", "P42"):
         what = "total tables only" if law == "P22" else "subsets of spaces, with no table"
         raise ValueError(f"{law} sweeps {what}, so allow_indet must be False")

@@ -27,7 +27,7 @@ from roughalg.approx import _LAW_BAD, _lower_upper
 from roughalg.cli import main
 from roughalg.enumeration import (COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, SearchHit, _approx_stream,
                                   _count, _scan, _space_tasks, bell_number, law_suite)
-from roughalg.errors import EmptyCarrierError, EmptySetError, SizeOutOfRangeError
+from roughalg.errors import EmptyCarrierError, EmptySetError, NotInCarrierError, SizeOutOfRangeError
 from roughalg.report import REPORT_SCHEMA
 
 from conftest import composition_stream_oracle, law_counts_oracle, status_oracle
@@ -81,6 +81,15 @@ def test_table_counts():
     u6 = canonical_universe(6)
     with pytest.raises(SizeOutOfRangeError):
         list(enum_tables(u6, Subset.from_indices(u6, range(5))))
+
+
+def test_table_carrier_must_lie_in_the_universe():
+    # as in make_table: tables on u3 over a carrier of u2 would have the
+    # wrong universe, and a carrier wider than the universe has no cells
+    u2, u3 = canonical_universe(2), canonical_universe(3)
+    for universe, carrier in ((u3, Subset.from_labels(u2, ["1", "2"])), (u2, Subset.full(u3))):
+        with pytest.raises(NotInCarrierError, match="different universe"):
+            next(enum_tables(universe, carrier))
 
 
 def test_table_stream_canonical():
@@ -262,6 +271,14 @@ def test_find_counterexample_composition_allow_indet(law, n, examined, witness):
     assert (out.status, out.examined) == ("found", examined)
     if witness is not None:
         assert out.witness == witness
+
+
+def test_find_counterexample_rejects_search_only_bounds():
+    # constraints and limit belong to search; the sweeps would silently ignore them
+    for bounds in (dict(law_constraints=(("C1", "AllTrue"),)), dict(structural_constraints=("congruence",)),
+                   dict(limit=7)):
+        with pytest.raises(ValueError, match="no constraints, and a limit of 1"):
+            find_counterexample("P41", SearchSpec(2, 2, budget=50, **bounds))
 
 
 def test_find_counterexample_p22_rejects_indeterminate_cells():
