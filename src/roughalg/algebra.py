@@ -432,19 +432,19 @@ def set_product(table: OpTable, a: Subset, b: Subset, mode: str = "outer") -> Su
         raise ValueError(f"mode must be 'outer' or 'restricted', got {mode!r}")
     if not (a.issubset(table.carrier) and b.issubset(table.carrier)):
         raise NotInCarrierError("set_product operands must lie inside the carrier")
-    mask = _set_product(table, a.mask, b.mask)
+    mask = _set_product(table.cells, table.k, table.pos, a.mask, b.mask)
     if mode == "restricted":
         mask &= table.carrier.mask
     return Subset(table.universe, mask)
 
 
-def _set_product(table: OpTable, a: int, b: int) -> int:
-    """The mask of the determinate products h*k, h in mask a and k in mask b, both in the carrier."""
-    rows, cols = ([table.pos[i] for i in range(len(table.pos)) if m >> i & 1] for m in (a, b))
+def _set_product(cells, k: int, pos, a: int, b: int) -> int:
+    """The mask of the determinate products x*y, x in mask a and y in mask b, both in the carrier."""
+    rows, cols = ([pos[i] for i in range(len(pos)) if m >> i & 1] for m in (a, b))
     mask = 0
     for row in rows:
         for col in cols:
-            v = table.cells[row * table.k + col]
+            v = cells[row * k + col]
             if v is not INDET:
                 mask |= 1 << v
     return mask
@@ -482,7 +482,7 @@ def is_congruence(space: ApproxSpace, table: OpTable) -> CongruenceReport:
     failing = ((x, x2, y, y2) for x, x2, y, y2 in itertools.product(range(n), repeat=4)
                if cls[x] == cls[x2] and cls[y] == cls[y2]
                and INDET not in (p := cells[x * n + y], q := cells[x2 * n + y2]) and cls[p] != cls[q])
-    holds = _congruent([b.mask for b in space.partition.blocks], partial(_set_product, table))
+    holds = _congruent([b.mask for b in space.partition.blocks], partial(_set_product, cells, n, table.pos))
     witness = None if holds else tuple(u.labels[i] for i in next(failing))
     return CongruenceReport(holds, witness, checked, sum(len(b) ** 2 for b in blocks) ** 2 - checked)
 
@@ -524,7 +524,8 @@ def check_product_approx_laws(space: ApproxSpace, table: OpTable, x: Subset, y: 
         raise EmptySubsetError("X and Y must be nonempty")
     if not (x.universe == y.universe == table.universe == space.universe):
         raise UniverseMismatchError("X, Y, the table and the space need one universe")
-    bad = _product_relations(_Memo(space, 0), _Memo(space, 1), partial(_set_product, table), x.mask, y.mask)
+    pr = partial(_set_product, table.cells, table.k, table.pos)
+    bad = _product_relations(_Memo(space, 0), _Memo(space, 1), pr, x.mask, y.mask)
     relations = tuple(RelationCheck(name, not m, _witness(space.universe, m)) for name, m in zip("abcd", bad))
     return ProductApproxReport(relations, is_congruence(space, table))
 

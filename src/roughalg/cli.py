@@ -19,8 +19,7 @@ from typing import Optional
 
 from .approx import ApproxSpace, approximate, space_from_partition
 from .algebra import TABLE_LAWS, classify
-from .enumeration import (_SWEEP_LAWS, COUNTEREXAMPLE_LAWS, MAX_LAWS_N, SearchSpec, _row_cells, law_suite,
-                          search)
+from .enumeration import (_SWEEP_LAWS, COUNTEREXAMPLE_LAWS, MAX_LAWS_N, SearchSpec, law_suite, search)
 from .errors import RoughAlgError
 from .fixtures import audit_paper, find_approx_claim
 from .morphisms import check_anti_group_hom, check_hom, check_rough_hom
@@ -407,31 +406,30 @@ def _write_hits(out, hits, as_json: bool) -> None:
     """Write each hit's text lines, or its JSON object indented as in the
     report, from its raw index.  Each distinct partition, carrier and table
     row is rendered once; a hit goes out through its carrier's format string."""
-    universe, spaces, carriers, _ = hits.fixture
-    k, labels = hits.spec.carrier_size, universe.labels
+    tables = hits.tables[0]  # every carrier numbers its rows alike
     esc = lambda s: s.replace("{", "{{").replace("}", "}}")
     if as_json:
         nest = lambda j, depth: json.dumps(j, indent=2).replace("\n", "\n" + " " * depth)
         part = lambda space: nest(partition_json(space.partition), 6)
         fmt = lambda cj: ('{}    {{\n      "index": {},\n      "partition": {},\n      "table": {{\n'
                           '        "carrier": ' + esc(nest(cj, 8)) + ',\n        "rows": [\n          '
-                          + ",\n          ".join(["{}"] * k) + "\n        ]\n      }}\n    }}")
+                          + ",\n          ".join(["{}"] * tables.k) + "\n        ]\n      }}\n    }}")
         row_text = lambda labs: nest(labs, 10)
     else:
         part = lambda space: " ".join("{" + " ".join(b) + "}" for b in partition_json(space.partition))
         fmt = lambda cj: ("{}hit (index {}):\n  partition: {}\n  carrier: " + esc("{" + " ".join(cj) + "}")
                           + "".join(f"\n    {esc(lab)} : {{}}" for lab in cj) + "\n")
         row_text = " ".join
-    row = lambda v: row_text([cell_label(labels, c) for c in _row_cells(hits.values, k, v)])
+    row = lambda v: row_text([cell_label(tables.universe.labels, c) for c in tables.row_cells(v)])
     parts, formats, rows = {}, {}, {}
     sep, then = ("\n", ",\n") if as_json else ("", "")  # before the first hit, and the others
     for idx in hits.indices:
-        sidx, cidx, table_rows = hits.split(idx)
+        sidx, cidx, t = hits.split(idx)
         if sidx not in parts:
-            parts[sidx] = part(spaces[sidx])
+            parts[sidx] = part(hits.spaces[sidx])
         if cidx not in formats:
-            formats[cidx] = fmt(subset_json(carriers[cidx]))
-        texts = [rows[v] if v in rows else rows.setdefault(v, row(v)) for v in table_rows]
+            formats[cidx] = fmt(subset_json(hits.tables[cidx].carrier))
+        texts = [rows[v] if v in rows else rows.setdefault(v, row(v)) for v in tables.rows(t)]
         out.write(formats[cidx].format(sep, idx, parts[sidx], *texts))
         sep = then
 

@@ -3,7 +3,9 @@
 Everything streams in one canonical order (partition restricted-growth
 string, then carrier combination, then table cells row-major, then mapping
 graph), so searches are reproducible and the space can be split into
-ranges across workers without changing the output.
+ranges across workers without changing the output.  One walk, `_Tables`,
+numbers a carrier's tables and visits their raw cells from any number;
+`enum_tables`, search and the P22 and P41/P42 streams all read it.
 
 Each law family has one instance stream over a list of its tasks,
 yielding per instance a falsy item if it holds, else a callable that
@@ -23,9 +25,10 @@ worker processes if jobs > 1.  Law constraints see only a candidate's rest,
 so each rest is checked once, on raw cells, by the one worker whose range
 holds it; `_scan` replays the passing rests across partitions and returns
 hit indices in an `array('q')`, which `search` merges in order.  The hits
-stay compact indices, 8 bytes each: `SearchHits` decodes a `SearchHit` only
-on access, and the CLI renders each hit from its index (space, carrier and
-table rows; `SearchHits.split`), so a report is written without building one.
+stay compact indices, 8 bytes each, in `SearchHits`, which holds the one
+candidate numbering: it decodes a `SearchHit` only on access, and the CLI
+renders each hit from its index (`split`), so a report is written without
+building one.
 
 Size caps: universes up to 6 elements, table carriers up to 4, laws suites 16.
 """
@@ -54,7 +57,7 @@ from .approx import (
     make_universe,
     space_from_partition,
 )
-from .algebra import (STATUSES, TABLE_LAWS, OpTable, _congruent, _has_status, _product_relations,
+from .algebra import (INDET, STATUSES, TABLE_LAWS, OpTable, _congruent, _has_status, _product_relations,
                       _set_product, evaluate_law)  # noqa: F401 (bench/micro.py patches evaluate_law here)
 from .errors import EmptyCarrierError, EmptySetError, NotInCarrierError, SizeOutOfRangeError
 from .morphisms import Mapping, _composition_outcomes, _self_map_behaviour
@@ -122,11 +125,36 @@ def enum_spaces(n: int, universe: Optional[Universe] = None) -> Iterator[ApproxS
         yield space_from_partition(p)
 
 
-def _table_values(universe: Universe, allow_indet: bool) -> list[Optional[int]]:
-    vals: list[Optional[int]] = list(range(universe.size))
-    if allow_indet:
-        vals.append(None)
-    return vals
+class _Tables:
+    """The tables on one carrier, numbered in enum_tables order: table t's k*k
+    cells are the digits of t in base len(values), first cell first."""
+
+    def __init__(self, universe: Universe, carrier: Subset, allow_indet: bool) -> None:
+        self.universe, self.carrier, self.k = universe, carrier, len(carrier)
+        rule = OpTable.build(universe, carrier, ())  # the carrier's order and positions
+        self.order, self.pos = rule.order, rule.pos
+        self.values: list[Optional[int]] = [*range(universe.size), *([INDET] if allow_indet else [])]
+        self.count = len(self.values) ** (self.k * self.k)
+        self.table = partial(OpTable, universe, carrier, self.order, pos=self.pos)  # of raw cells
+
+    def walk(self, start: int = 0) -> Iterator[tuple]:
+        """The raw cells of tables start, start + 1, ... in turn."""
+        return itertools.islice(itertools.product(self.values, repeat=self.k * self.k), start, None)
+
+    def _digits(self, number: int, base: int) -> list[int]:
+        return [number // base ** (self.k - 1 - d) % base for d in range(self.k)]
+
+    def rows(self, t: int) -> list[int]:
+        """Table t's row numbers, first row first: its k digits in base len(values)**k."""
+        return self._digits(t, len(self.values) ** self.k)
+
+    def row_cells(self, row: int) -> list:
+        """The k cells of a row number."""
+        return [self.values[d] for d in self._digits(row, len(self.values))]
+
+    def cells(self, t: int) -> tuple:
+        """Table t's k*k cells, first cell first."""
+        return tuple(v for row in self.rows(t) for v in self.row_cells(row))
 
 
 def enum_tables(universe: Universe, carrier: Subset, allow_indet: bool = False) -> Iterator[OpTable]:
@@ -140,9 +168,8 @@ def enum_tables(universe: Universe, carrier: Subset, allow_indet: bool = False) 
             f"table enumeration supports universes up to {MAX_UNIVERSE} "
             f"and carriers up to {MAX_TABLE_CARRIER}"
         )
-    k = len(carrier)
-    for cells in itertools.product(_table_values(universe, allow_indet), repeat=k * k):
-        yield OpTable.build(universe, carrier, cells)
+    tables = _Tables(universe, carrier, allow_indet)
+    yield from map(tables.table, tables.walk())
 
 
 def enum_mappings(domain: Subset, codomain: Subset, surjective_only: bool = False) -> Iterator[Mapping]:
@@ -210,7 +237,8 @@ class SearchSpec:
 
 def _struct_congruence(space: ApproxSpace, table: OpTable) -> bool:
     return (table.carrier.mask == table.universe.full_mask()
-            and _congruent([b.mask for b in space.partition.blocks], partial(_set_product, table)))
+            and _congruent([b.mask for b in space.partition.blocks],
+                           partial(_set_product, table.cells, table.k, table.pos)))
 
 
 STRUCTURAL_CONSTRAINTS = {
@@ -232,50 +260,30 @@ def _carriers(universe: Universe, k: int) -> list[Subset]:
     return [Subset.from_indices(universe, c) for c in itertools.combinations(range(universe.size), k)]
 
 
-def _search_fixture(spec: SearchSpec):
-    universe = canonical_universe(spec.universe_size)
-    spaces = [space_from_partition(p) for p in enum_partitions(spec.universe_size, universe)]
-    ntables = (spec.universe_size + (1 if spec.allow_indet else 0)) ** (spec.carrier_size ** 2)
-    return universe, spaces, _carriers(universe, spec.carrier_size), ntables
-
-
-def _rest_rows(spec: SearchSpec, ntables: int, rest: int) -> tuple[int, list[int]]:
-    """A rest index's carrier index and the rows of its enum_tables table, first
-    row first; a row is the number whose k digits, in base len(values), are its cells."""
-    cidx, tidx = divmod(rest, ntables)
-    k, base = spec.carrier_size, (spec.universe_size + spec.allow_indet) ** spec.carrier_size
-    return cidx, [tidx // base ** (k - 1 - r) % base for r in range(k)]
-
-
-def _row_cells(values: list, k: int, row: int) -> list:
-    """The k cells of a row number, from the values of the table's cells."""
-    return [values[row // len(values) ** (k - 1 - c) % len(values)] for c in range(k)]
-
-
-def _table(spec: SearchSpec, fixture, cidx: int, rows: list[int]) -> OpTable:
-    """The table of a carrier index and its rows (`_rest_rows`)."""
-    universe, _, carriers, _ = fixture
-    values, k = _table_values(universe, spec.allow_indet), spec.carrier_size
-    return OpTable.build(universe, carriers[cidx], tuple(v for row in rows for v in _row_cells(values, k, row)))
-
-
 class SearchHits(Sequence):
     """A search's hits as compact candidate indices, each decoded to a
-    SearchHit on access; equal to the tuple of the decoded hits."""
+    SearchHit on access; equal to the tuple of the decoded hits.
 
-    def __init__(self, spec: SearchSpec, indices: array, fixture) -> None:
-        self.spec, self.indices, self.fixture = spec, indices, fixture
-        self.values = _table_values(fixture[0], spec.allow_indet)
-        self.per_space = len(fixture[2]) * fixture[3]
+    It holds search's one candidate numbering: index (space * carriers +
+    carrier) * count + table, over the spaces in RGS order, the carriers in
+    combination order, and each carrier's tables as its `_Tables` numbers them."""
 
-    def split(self, idx: int) -> tuple[int, int, list[int]]:
-        """A hit index's space index, carrier index and table rows (`_rest_rows`)."""
+    def __init__(self, spec: SearchSpec, indices: array) -> None:
+        self.spec, self.indices = spec, indices
+        universe = canonical_universe(spec.universe_size)
+        self.spaces = [space_from_partition(p) for p in enum_partitions(spec.universe_size, universe)]
+        self.tables = [_Tables(universe, c, spec.allow_indet) for c in _carriers(universe, spec.carrier_size)]
+        self.per_space = len(self.tables) * self.tables[0].count
+        self.total = len(self.spaces) * self.per_space
+
+    def split(self, idx: int) -> tuple[int, int, int]:
+        """A candidate index's space index, carrier index and table number."""
         sidx, rest = divmod(idx, self.per_space)
-        return (sidx, *_rest_rows(self.spec, self.fixture[3], rest))
+        return (sidx, *divmod(rest, self.tables[0].count))
 
     def _hit(self, idx: int) -> SearchHit:
-        sidx, cidx, rows = self.split(idx)
-        return SearchHit(idx, self.fixture[1][sidx], _table(self.spec, self.fixture, cidx, rows))
+        sidx, cidx, t = self.split(idx)
+        return SearchHit(idx, self.spaces[sidx], self.tables[cidx].table(self.tables[cidx].cells(t)))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -312,20 +320,15 @@ class SearchOutcome:
     budget_exhausted: bool
 
 
-def _passing_rests(spec: SearchSpec, fixture, lo: int, hi: int) -> Iterator[int]:
+def _passing_rests(hits: SearchHits, lo: int, hi: int) -> Iterator[int]:
     """Rest indices (carrier, then table) in lo..hi-1 whose table meets every
     law constraint, walking each carrier's tables in enum_tables order."""
-    universe, _, carriers, ntables = fixture
-    vals = _table_values(universe, spec.allow_indet)
-    for cidx in range(lo // ntables, -(-hi // ntables)):
-        order = tuple(carriers[cidx])
-        pos = [order.index(i) if i in order else -1 for i in range(universe.size)]
-        first = max(lo, cidx * ntables)
-        tables = itertools.product(vals, repeat=spec.carrier_size ** 2)
-        for rest, cells in zip(range(first, min(hi, (cidx + 1) * ntables)),
-                               itertools.islice(tables, first - cidx * ntables, None)):
-            if all(_has_status(law, status, cells, spec.carrier_size, order, pos)
-                   for law, status in spec.law_constraints):
+    for cidx, tables in enumerate(hits.tables):
+        base = cidx * tables.count
+        for rest, cells in zip(range(max(lo, base), min(hi, base + tables.count)),
+                               tables.walk(max(lo - base, 0))):
+            if all(_has_status(law, status, cells, tables.k, tables.order, tables.pos)
+                   for law, status in hits.spec.law_constraints):
                 yield rest
 
 
@@ -336,28 +339,25 @@ def _scan(spec: SearchSpec, lo: int, hi: int) -> array:
     Law constraints see only the rest, so each rest is checked once, lazily
     in the first space, and the passing ones are replayed in the later
     spaces.  Only those get a table, for the structural constraints."""
-    fixture = _search_fixture(spec)
-    _, spaces, carriers, ntables = fixture
-    per_space = len(carriers) * ntables
-    end = min(len(spaces) * per_space, spec.budget)
-    passing, hits = array("q"), array("q")
-    for sidx, space in enumerate(spaces):
+    hits, passing = SearchHits(spec, array("q")), array("q")
+    end = min(hits.total, spec.budget)
+    for sidx, space in enumerate(hits.spaces):
         first = sidx == 0
-        for rest in _passing_rests(spec, fixture, lo, hi) if first else passing:
-            idx = sidx * per_space + rest
+        for rest in _passing_rests(hits, lo, hi) if first else passing:
+            idx = sidx * hits.per_space + rest
             if idx >= end:
-                return hits
+                return hits.indices
             if first:
                 passing.append(rest)
             if spec.structural_constraints:
-                table = _table(spec, fixture, *_rest_rows(spec, ntables, rest))
+                table = hits._hit(idx).table
                 if not all(STRUCTURAL_CONSTRAINTS[name](space, table)
                            for name in spec.structural_constraints):
                     continue
-            hits.append(idx)
+            hits.indices.append(idx)
             if len(hits) == spec.limit:
-                return hits
-    return hits
+                return hits.indices
+    return hits.indices
 
 
 def search(spec: SearchSpec, jobs: int = 1) -> SearchOutcome:
@@ -365,24 +365,21 @@ def search(spec: SearchSpec, jobs: int = 1) -> SearchOutcome:
 
     Output is independent of the worker count.
     """
-    fixture = _search_fixture(spec)
-    _, spaces, carriers, ntables = fixture
-    per_space = len(carriers) * ntables
-    total = len(spaces) * per_space
-    end = min(total, spec.budget)
+    hits = SearchHits(spec, array("q"))
+    end = min(hits.total, spec.budget)
     # Workers split the rests, so each rest is law-checked by one worker.
     # Each returns its own first `limit` hits, so the global first `limit`
     # hits are all in the union.
-    ranges = _split(range(min(per_space, end)), jobs)
+    ranges = _split(range(min(hits.per_space, end)), jobs)
     parts = _pmap(_scan, [(spec, r.start, r.stop) for r in ranges], jobs)
-    indices = array("q", itertools.islice(heapq.merge(*parts), min(spec.limit, sum(map(len, parts)))))
-    limit_reached = len(indices) == spec.limit
+    hits.indices.extend(itertools.islice(heapq.merge(*parts), min(spec.limit, sum(map(len, parts)))))
+    limit_reached = len(hits) == spec.limit
     return SearchOutcome(
-        hits=SearchHits(spec, indices, fixture),
-        examined=indices[-1] + 1 if limit_reached else end,
-        total=total,
+        hits=hits,
+        examined=hits.indices[-1] + 1 if limit_reached else end,
+        total=hits.total,
         limit_reached=limit_reached,
-        budget_exhausted=not limit_reached and end == spec.budget and spec.budget < total,
+        budget_exhausted=not limit_reached and end == spec.budget and spec.budget < hits.total,
     )
 
 
@@ -423,9 +420,9 @@ def _approx_stream(law: str, tasks: list[tuple[int, int]]):
                 yield bad and partial(_approx_witness, space, x, y, bad)
 
 
-def _p22_witness(space: ApproxSpace, table: OpTable, x: int, y: int,
+def _p22_witness(space: ApproxSpace, tables: _Tables, cells: tuple, x: int, y: int,
                  failed: list[str], cong: bool) -> dict:
-    u = space.universe
+    u, table = space.universe, tables.table(cells)
     return {**_space_descr(space), "table": table_json(table)["rows"], "X": list(Subset(u, x).labels()),
             "Y": list(Subset(u, y).labels()), "failed": failed, "congruence": cong}
 
@@ -437,8 +434,10 @@ def _p22_stream(tasks: list[tuple[int, int]]):
     congruent = inclusion = equality = 0
     for space, full, lower, upper in _task_spaces(tasks):
         masks, blocks = range(full + 1), [b.mask for b in space.partition.blocks]
-        for table in enum_tables(space.universe, Subset.full(space.universe)):
-            prods = [[_set_product(table, a, b) for b in masks] for a in masks]
+        tables = _Tables(space.universe, Subset.full(space.universe), False)
+        k, pos = tables.k, tables.pos
+        for cells in tables.walk():
+            prods = [[_set_product(cells, k, pos, a, b) for b in masks] for a in masks]
             pr = lambda a, b: prods[a][b]
             cong = _congruent(blocks, pr)
             for x in masks[1:]:
@@ -449,13 +448,13 @@ def _p22_stream(tasks: list[tuple[int, int]]):
                         congruent += 1
                         inclusion += bool(bad[0])
                         equality += bool(failed)
-                    yield failed and partial(_p22_witness, space, table, x, y, failed, cong)
+                    yield failed and partial(_p22_witness, space, tables, cells, x, y, failed, cong)
     return {"congruent_instances": congruent, "congruent_inclusion_failures": inclusion,
             "congruent_equality_failures": equality}
 
 
-def _composition_witness(carrier: Subset, cells: tuple, prop: str, phi1: Mapping, phi2: Mapping) -> dict:
-    table = OpTable.build(carrier.universe, carrier, cells)
+def _composition_witness(tables: _Tables, cells: tuple, prop: str, phi1: Mapping, phi2: Mapping) -> dict:
+    table = tables.table(cells)
     ce = next(_composition_outcomes(table, [(phi1, phi2)], prop))
     return {"table": table_json(table)["rows"], "phi1": [list(p) for p in ce.phi1.pairs()],
             "phi2": [list(p) for p in ce.phi2.pairs()], "pair": list(ce.pair)}
@@ -464,24 +463,24 @@ def _composition_witness(carrier: Subset, cells: tuple, prop: str, phi1: Mapping
 def _composition_stream(prop: str, allow_indet: bool, carriers: list[Subset]):
     """Every checked pair of self-maps of each carrier, over each of its tables.
     Returns the tables and the pairs skipped as not meeting the hypothesis."""
-    tables = skipped = 0
+    ntables = skipped = 0
     for carrier in carriers:
-        order, vals = tuple(carrier), _table_values(carrier.universe, allow_indet)
-        k, pos = len(order), [order.index(i) if i in order else -1 for i in range(carrier.universe.size)]
+        tables = _Tables(carrier.universe, carrier, allow_indet)
+        k, order, pos = tables.k, tables.order, tables.pos
         maps = list(enum_mappings(carrier, carrier))
         graphs = [tuple(pos[v] for v in m.graph) for m in maps]  # as carrier positions
         index = {g: i for i, g in enumerate(graphs)}
         comp = [[index[tuple(ga[p] for p in gb)] for gb in graphs] for ga in graphs]  # a o b
-        for cells in itertools.product(vals, repeat=k * k):
+        for cells in tables.walk():
             rev, pres = zip(*(_self_map_behaviour(cells, k, order, pos, g) for g in graphs))
             want2, claim = (pres, rev) if prop == "p41" else (rev, pres)
             firsts, seconds = ([i for i, ok in enumerate(col) if ok] for col in (rev, want2))
-            tables += 1
+            ntables += 1
             skipped += len(maps) ** 2 - len(firsts) * len(seconds)
             for a, b in itertools.product(firsts, seconds):
-                yield not claim[comp[a][b]] and partial(_composition_witness, carrier, cells, prop,
+                yield not claim[comp[a][b]] and partial(_composition_witness, tables, cells, prop,
                                                        maps[a], maps[b])
-    return {"tables": tables, "skipped_pairs": skipped}
+    return {"tables": ntables, "skipped_pairs": skipped}
 
 
 # the law table

@@ -47,6 +47,11 @@ def _relation(name: str, a: str, b: str, c: str, d: str) -> Mutant:
     return Mutant(name, "algebra.py", _RELATIONS, f"return {a}, {b}, {c}, {d}", ("test_algebra.py",))
 
 
+def _law(name: str, old: str, new: str) -> Mutant:
+    """A mutant of one law's formula in approx._LAW_BAD."""
+    return Mutant(name, "approx.py", old, new, ("test_approx.py",))
+
+
 _A, _B, _C, _D = "up_prod & ~up[xy]", "up[xy] & ~up_prod", "lo_prod & ~lo[xy]", "lo[xy] & ~lo_prod"
 
 MUTANTS = (
@@ -77,8 +82,20 @@ MUTANTS = (
            "any(not p or p & c for c in blocks)", ("test_algebra.py",)),
     Mutant("congruence-indeterminate-unsquared", "algebra.py", "for b in blocks) ** 2 - checked",
            "for b in blocks) - checked", ("test_algebra.py",)),
-    # the approximation block loop, and the block-product sums of the counted suites
+    # the approximation block loop, the formula of each law that holds, and P31's
     Mutant("lower-as-upper", "approx.py", "return lower, upper", "return upper, upper", ("test_approx.py",)),
+    _law("l1-x-inside-lower", "(x & ~up[x])", "(x & ~lo[x])"),
+    _law("l2-full-upper-of-x", "lo[full] & up[full]", "lo[full] & up[x]"),
+    _law("l3-lower-of-meet", "& ~lo[x | y]", "& ~lo[x & y]"),
+    _law("l5-meet-of-uppers", "up[x | y] ^ (up[x] | up[y])", "up[x | y] ^ (up[x] & up[y])"),
+    _law("l6-upper-of-join", "up[x & y] & ~(up[x] & up[y])", "up[x | y] & ~(up[x] & up[y])"),
+    _law("l7-complement-lower-as-upper", "(up[full & ~x] ^ (full & ~lo[x]))", "(up[full & ~x] ^ (full & ~up[x]))"),
+    _law("l8-upper-of-x", "(up[lo[x]] ^ lo[x])", "(up[x] ^ lo[x])"),
+    _law("l9-lower-of-x", "(lo[up[x]] ^ up[x])", "(lo[x] ^ up[x])"),
+    _law("p31-upper-of-join", "~up[x & y]", "~up[x | y]"),
+    # the counted suites: passing pairs on one block, and the block-product sums
+    Mutant("good-pairs-unsigned", "enumeration.py", "(-1) ** j * comb(s, j)", "comb(s, j)",
+           ("test_enumeration.py",)),
     Mutant("partition-sums-comb-n", "enumeration.py", "comb(n - 1, b - 1)", "comb(n, b)",
            ("test_enumeration.py",)),
     # the P22 stream's count of congruent failures of inclusion (a)
@@ -110,16 +127,23 @@ MUTANTS = (
     # renderer behind SearchOutcome.hits and the CLI report
     Mutant("scan-budget-one-past", "enumeration.py", "if idx >= end:", "if idx > end:",
            ("test_enumeration.py",)),
-    Mutant("passing-rests-start-off-by-one", "enumeration.py", "itertools.islice(tables, first - cidx * ntables, None)",
-           "itertools.islice(tables, first - cidx * ntables + 1, None)", ("test_enumeration.py",)),
-    Mutant("hit-rows-reversed", "enumeration.py", "tidx // base ** (k - 1 - r) % base", "tidx // base ** r % base",
-           ("test_enumeration.py", "test_cli.py")),
+    Mutant("passing-rests-start-off-by-one", "enumeration.py", "tables.walk(max(lo - base, 0))",
+           "tables.walk(max(lo - base, 0) + 1)", ("test_enumeration.py",)),
+    Mutant("hit-rows-reversed", "enumeration.py", "number // base ** (self.k - 1 - d) % base",
+           "number // base ** d % base", ("test_enumeration.py", "test_cli.py")),
     Mutant("hit-split-swapped", "enumeration.py", "sidx, rest = divmod(idx, self.per_space)",
            "rest, sidx = divmod(idx, self.per_space)", ("test_enumeration.py", "test_cli.py")),
     Mutant("row-memo-by-position", "cli.py",
-           "[rows[v] if v in rows else rows.setdefault(v, row(v)) for v in table_rows]",
-           "[rows[r] if r in rows else rows.setdefault(r, row(v)) for r, v in enumerate(table_rows)]",
+           "[rows[v] if v in rows else rows.setdefault(v, row(v)) for v in tables.rows(t)]",
+           "[rows[r] if r in rows else rows.setdefault(r, row(v)) for r, v in enumerate(tables.rows(t))]",
            ("test_cli.py",)),
+    # search's law stage: each status branch of _has_status
+    Mutant("has-status-empty-all-true", "algebra.py", "return _status(law, 0, 0, 0) == status",
+           'return status == "AllTrue"', ("test_algebra.py", "test_enumeration.py")),
+    Mutant("has-status-mixed-without-indet", "algebra.py", "return first == _INDET or any(",
+           "return any(", ("test_algebra.py", "test_enumeration.py")),
+    Mutant("has-status-uniform-allows-other", "algebra.py", "and all(code == first for code in codes)",
+           "and all(code != _INDET for code in codes)", ("test_algebra.py", "test_enumeration.py")),
     # classification and the structure checks
     Mutant("strict-ag4-without-c5", "algebra.py", 'for c in ("C1", "C2", "C3", "C5"))',
            'for c in ("C1", "C2", "C3"))', ("test_algebra.py", "test_acceptance.py")),

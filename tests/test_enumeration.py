@@ -137,6 +137,38 @@ def test_search_matches_direct_scan():
     assert all(classify(h.table).is_ag4 for h in out.hits)
 
 
+@pytest.mark.parametrize("n, semigroups, commutative, groups", [(1, 1, 1, 1), (2, 8, 6, 2), (3, 113, 63, 3)])
+def test_search_counts_labelled_semigroups(n, semigroups, commutative, groups):
+    # counts from mathematics, not from enum_tables: in the first space, at
+    # carrier = universe, the labelled semigroups of order n (OEIS A023814),
+    # the commutative ones (A023815) and the groups among them (A034383)
+    semigroup = (("C1", "AllTrue"), ("C2", "AllTrue"))
+    first_space = dict(limit=10**6, budget=n ** (n * n))
+    hits = search(SearchSpec(n, n, law_constraints=semigroup, **first_space)).hits
+    assert len(hits) == semigroups and sum(classify(h.table).is_group for h in hits) == groups
+    abelian = search(SearchSpec(n, n, law_constraints=semigroup + (("C5", "AllTrue"),), **first_space)).hits
+    assert len(abelian) == commutative
+
+
+def test_numbering_at_n6_k4_with_indeterminate_cells():
+    # 7^16 tables per carrier, far past any walk: a table number's cells are
+    # its 16 base-7 digits, first cell first, digit 6 the indeterminate cell
+    out = search(SearchSpec(6, 4, True, limit=1, budget=1))
+    hits, tables = out.hits, out.hits.tables[0]
+    assert tables.count == 7 ** 16 and len(hits.tables) == comb(6, 4)
+    digit = lambda cell: 6 if cell is None else cell
+    rng = random.Random(6)
+    for t in [rng.randrange(7 ** 16) for _ in range(200)]:
+        cells = tables.cells(t)
+        assert len(cells) == 16 and sum(digit(c) * 7 ** (15 - i) for i, c in enumerate(cells)) == t
+    assert tables.cells(0) == (0,) * 16 and tables.cells(7 ** 16 - 1) == (None,) * 16
+    for idx in [rng.randrange(hits.total) for _ in range(50)]:
+        sidx, cidx, t = hits.split(idx)
+        assert (sidx * comb(6, 4) + cidx) * 7 ** 16 + t == idx
+    assert list(hits.indices) == [0] and hits[0].table.cells == (0,) * 16
+    assert out.total == hits.total == bell_number(6) * comb(6, 4) * 7 ** 16 == 203 * 15 * 7 ** 16
+
+
 def test_search_trivial_group_unique_at_size_one():
     out = search(SearchSpec(universe_size=1, carrier_size=1,
                             law_constraints=tuple((c, "AllTrue") for c in
