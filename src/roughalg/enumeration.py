@@ -16,7 +16,7 @@ sweep size and hypothesis.  `_first` reduces a stream for
 `find_counterexample` under a budget; `_count` for the P22/P41/P42 suites,
 in-process.  The L1-L9/P31 suites are counted per block (`_block_count`).
 `_composition_stream` judges each self-map once per raw table
-(`morphisms._self_map_behaviour`); a checked pair's composite is itself one
+(`morphisms._behaviour`); a checked pair's composite is itself one
 of the maps, so its verdict is a lookup through a composition table built
 once per carrier.  Objects are built only for a failure's witness.
 
@@ -60,7 +60,7 @@ from .approx import (
 from .algebra import (INDET, STATUSES, TABLE_LAWS, OpTable, _congruent, _has_status, _product_relations,
                       _set_product, evaluate_law)  # noqa: F401 (bench/micro.py patches evaluate_law here)
 from .errors import EmptyCarrierError, EmptySetError, NotInCarrierError, SizeOutOfRangeError
-from .morphisms import Mapping, _composition_outcomes, _self_map_behaviour
+from .morphisms import Mapping, _behaviour, _composition_outcomes
 from .report import partition_json, table_json
 from .rough_structures import check_rough_anti_semigroup
 
@@ -466,13 +466,14 @@ def _composition_stream(prop: str, allow_indet: bool, carriers: list[Subset]):
     ntables = skipped = 0
     for carrier in carriers:
         tables = _Tables(carrier.universe, carrier, allow_indet)
-        k, order, pos = tables.k, tables.order, tables.pos
+        k, pos = tables.k, tables.pos
         maps = list(enum_mappings(carrier, carrier))
-        graphs = [tuple(pos[v] for v in m.graph) for m in maps]  # as carrier positions
-        index = {g: i for i, g in enumerate(graphs)}
-        comp = [[index[tuple(ga[p] for p in gb)] for gb in graphs] for ga in graphs]  # a o b
+        vals = [dict(zip(m.domain, m.graph)) for m in maps]
+        index = {m.graph: i for i, m in enumerate(maps)}
+        comp = [[index[tuple(va[v] for v in mb.graph)] for mb in maps] for va in vals]  # a o b
         for cells in tables.walk():
-            rev, pres = zip(*(_self_map_behaviour(cells, k, order, pos, g) for g in graphs))
+            raw = (cells, k, pos)
+            rev, pres = zip(*(_behaviour(raw, raw, val) for val in vals))
             want2, claim = (pres, rev) if prop == "p41" else (rev, pres)
             firsts, seconds = ([i for i, ok in enumerate(col) if ok] for col in (rev, want2))
             ntables += 1

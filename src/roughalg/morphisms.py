@@ -6,16 +6,21 @@ and `rough-anti-hom` are surjections between upper approximations that
 preserve resp. reverse products.  Tables are partial, so a pair counts
 indeterminate when either side of the kind's equation cannot be resolved;
 indeterminate pairs never falsify but are always reported.
+
+One pair rule, `_pair_products`, resolves every pair on raw cells.  `_check`
+folds it into the report of a kind; `_behaviour` into whether a map reverses
+and whether it preserves, for `verify_composition_props` and P41/P42.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .approx import ApproxSpace, Subset, Universe, approximate
-from .algebra import INDET, OpTable, local_neutrals
+from .algebra import OpTable, local_neutrals
 from .errors import (
     CarrierMismatchError,
     DomainMismatchError,
@@ -43,8 +48,9 @@ class Mapping:
     target: Subset
 
     def apply_index(self, ix: int) -> int:
-        order = tuple(self.domain)
-        return self.graph[order.index(ix)]
+        if not self.domain.contains_index(ix):
+            raise UnknownElementError(f"{self.domain.universe.labels[ix]!r} not in the mapping domain")
+        return self.graph[tuple(self.domain).index(ix)]
 
     def apply(self, x: str) -> str:
         return self.codomain.labels[self.apply_index(self.domain.universe.index(x))]
@@ -56,11 +62,8 @@ class Mapping:
         return self.target.issubset(self.image())
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
-        dom = tuple(self.domain)
-        return tuple(
-            (self.domain.universe.labels[ix], self.codomain.labels[self.graph[p]])
-            for p, ix in enumerate(dom)
-        )
+        return tuple((self.domain.universe.labels[ix], self.codomain.labels[v])
+                     for ix, v in zip(self.domain, self.graph))
 
     def __repr__(self) -> str:
         body = " ".join(f"{a}->{b}" for a, b in self.pairs())
@@ -92,9 +95,8 @@ def make_mapping(
     if any(g is None for g in graph):
         missing = domain.universe.labels[order[graph.index(None)]]
         raise MissingPairError(f"no image for {missing!r}")
-    m = Mapping(domain, codomain, tuple(graph), Subset.empty(codomain))
     if target is None:
-        target = m.image()
+        target = Subset.from_indices(codomain, graph)
     elif target.universe != codomain:
         raise UnknownCodomainLabelError("target subset not over the codomain universe")
     return Mapping(domain, codomain, tuple(graph), target)
@@ -119,11 +121,8 @@ def kernel(phi: Mapping, table_b: OpTable) -> Subset:
 
 def _kernel_tolerant(phi: Mapping, table_b: OpTable) -> Subset:
     pool = neutral_pool(table_b)
-    dom = tuple(phi.domain)
-    return Subset.from_indices(
-        phi.domain.universe,
-        (ix for p, ix in enumerate(dom) if pool.contains_index(phi.graph[p])),
-    )
+    return Subset.from_indices(phi.domain.universe,
+                               (ix for ix, v in zip(phi.domain, phi.graph) if pool.contains_index(v)))
 
 
 @dataclass(frozen=True)
@@ -145,53 +144,57 @@ class MorphismReport:
     first_violation: tuple[str, str] | None = None
 
 
-def _pair_scan(phi: Mapping, table_a: OpTable, table_b: OpTable):
-    """Yield per ordered domain pair: (x, y, left, fwd, rev).
+def _pair_products(a, b, val: dict[int, int]) -> Iterator[tuple[Optional[int], ...]]:
+    """The pair rule.  Per ordered pair (x, y) of the domain of phi = val, row-major,
+    yield (phi(x*y), phi(x) o phi(y), phi(y) o phi(x)) as universe indices, None for
+    a side that cannot be resolved: an operand outside its table's carrier, x*y
+    outside the domain, or an INDET cell.  a and b are the (cells, k, pos) of the
+    source and the target table."""
+    (cells_a, ka, pos_a), (cells_b, kb, pos_b) = a, b
+    for x, fx in val.items():
+        px, qx = pos_a[x], pos_b[fx]
+        for y, fy in val.items():
+            py, qy = pos_a[y], pos_b[fy]
+            xy = cells_a[px * ka + py] if px >= 0 and py >= 0 else None
+            left = val.get(xy)
+            if qx >= 0 and qy >= 0:
+                yield left, cells_b[qx * kb + qy], cells_b[qy * kb + qx]
+            else:
+                yield left, None, None
 
-    left  = phi(x*y) as a codomain index, or None when unresolvable;
-    fwd   = phi(x) o phi(y); rev = phi(y) o phi(x); None when unresolvable.
-    """
-    dom = tuple(phi.domain)
-    val = dict(zip(dom, phi.graph))
-    ua = table_a.universe
 
-    def bprod(i: int, j: int) -> Optional[int]:
-        if table_b.pos[i] >= 0 and table_b.pos[j] >= 0:
-            v = table_b.value_at(table_b.pos[i], table_b.pos[j])
-            return None if v is INDET else v
-        return None
+def _behaviour(a, b, val: dict[int, int]) -> tuple[bool, bool]:
+    """(reverses, preserves): whether no pair that `_pair_products` resolves breaks
+    phi(x*y) = phi(y) o phi(x), resp. phi(x*y) = phi(x) o phi(y).  Stops once both fail."""
+    rev = pres = True
+    for left, fwd, back in _pair_products(a, b, val):
+        if left is not None:
+            pres = pres and (fwd is None or fwd == left)
+            rev = rev and (back is None or back == left)
+            if not (rev or pres):
+                return False, False
+    return rev, pres
 
-    for ix in dom:
-        for iy in dom:
-            left = None
-            if table_a.pos[ix] >= 0 and table_a.pos[iy] >= 0:
-                t = table_a.value_at(table_a.pos[ix], table_a.pos[iy])
-                if t is not INDET and t in val:
-                    left = val[t]
-            fx, fy = val[ix], val[iy]
-            yield ua.labels[ix], ua.labels[iy], left, bprod(fx, fy), bprod(fy, fx)
+
+def _raw(table: OpTable) -> tuple:
+    return table.cells, table.k, table.pos
 
 
 def _check(phi: Mapping, table_a: OpTable, table_b: OpTable, kind: str) -> MorphismReport:
     preserved = reverse = violated = indet = 0
     first = None
-    for x, y, left, fwd, rev in _pair_scan(phi, table_a, table_b):
-        if left is not None and fwd is not None and left == fwd:
-            preserved += 1
-        if left is not None and rev is not None and left == rev:
-            reverse += 1
+    val, labels = dict(zip(phi.domain, phi.graph)), table_a.universe.labels
+    pairs = itertools.product(val, repeat=2)
+    for (x, y), (left, fwd, rev) in zip(pairs, _pair_products(_raw(table_a), _raw(table_b), val)):
+        preserved += left is not None and left == fwd
+        reverse += left is not None and left == rev
         side = rev if kind == "rough-anti-hom" else fwd
         if left is None or side is None:
             indet += 1
-            continue
-        if kind == "anti-hom":
-            bad = left == side
-        else:
-            bad = left != side
-        if bad:
+        elif (left == side) == (kind == "anti-hom"):  # anti-hom: an equal side breaks it
             violated += 1
             if first is None:
-                first = (x, y)
+                first = (labels[x], labels[y])
     counts = PairCounts(preserved, reverse, violated, indet)
     surjective = phi.is_surjective()
     overall = violated == 0 and (surjective or kind in ("hom", "anti-hom"))
@@ -253,36 +256,6 @@ def compose(phi1: Mapping, phi2: Mapping) -> Mapping:
     return Mapping(phi2.domain, phi1.codomain, graph, phi1.target)
 
 
-def _self_map_behaviour(cells, k: int, order, pos, graph) -> tuple[bool, bool]:
-    """(reverses_all, preserves_all) of a self-map of one table's carrier, on
-    its raw cells; graph[p] is the carrier position of the image of position p."""
-    rev = pres = True
-    slot = 0
-    for gx in graph:
-        for gy in graph:
-            xy = cells[slot]
-            slot += 1
-            if xy is INDET or pos[xy] < 0:
-                continue
-            left = order[graph[pos[xy]]]
-            fwd, back = cells[gx * k + gy], cells[gy * k + gx]
-            pres = pres and (fwd is INDET or fwd == left)
-            rev = rev and (back is INDET or back == left)
-            if not (rev or pres):
-                return False, False
-    return rev, pres
-
-
-def preserves_all(phi: Mapping, table_a: OpTable, table_b: OpTable) -> bool:
-    """No resolvable pair breaks phi(x*y) = phi(x) o phi(y)."""
-    return _check(phi, table_a, table_b, "hom").counts.violated == 0
-
-
-def reverses_all(phi: Mapping, table_a: OpTable, table_b: OpTable) -> bool:
-    """No resolvable pair breaks phi(x*y) = phi(y) o phi(x)."""
-    return _check(phi, table_a, table_b, "rough-anti-hom").counts.violated == 0
-
-
 @dataclass(frozen=True)
 class CompositionCounterexample:
     phi1: Mapping
@@ -327,15 +300,16 @@ def _composition_outcomes(table: OpTable, candidates: Iterable[tuple[Mapping, Ma
     nothing.  Each map's behavior is evaluated once per call."""
     if prop not in ("p41", "p42"):
         raise ValueError(f"prop must be p41 or p42, got {prop!r}")
-    want2 = preserves_all if prop == "p41" else reverses_all
+    want2 = 1 if prop == "p41" else 0  # phi2 must preserve (p41) or reverse (p42)
     kind = "rough-anti-hom" if prop == "p41" else "hom"
+    raw = _raw(table)
 
     @functools.cache
-    def behaves(test, phi: Mapping) -> bool:
-        return test(phi, table, table)
+    def behaves(phi: Mapping) -> tuple[bool, bool]:
+        return _behaviour(raw, raw, dict(zip(phi.domain, phi.graph)))
 
     for phi1, phi2 in candidates:
-        if not (behaves(reverses_all, phi1) and behaves(want2, phi2)):
+        if not (behaves(phi1)[0] and behaves(phi2)[want2]):
             continue
         try:
             comp = compose(phi1, phi2)

@@ -7,6 +7,7 @@ production code paths.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import partial
 
@@ -27,7 +28,6 @@ from roughalg import (
 from roughalg.algebra import CongruenceReport, RelationCheck
 from roughalg.approx import _witness
 from roughalg.enumeration import enum_mappings, enum_tables
-from roughalg.morphisms import _composition_outcomes
 from roughalg.report import table_json
 from roughalg.scenario import LexError, Token
 
@@ -148,29 +148,87 @@ def congruence_oracle(space: ApproxSpace, table: OpTable) -> CongruenceReport:
     return CongruenceReport(witness is None, witness, checked, indet)
 
 
-def _composition_witness_oracle(table: OpTable, ce) -> dict:
-    return {"table": table_json(table)["rows"], "phi1": [list(p) for p in ce.phi1.pairs()],
-            "phi2": [list(p) for p in ce.phi2.pairs()], "pair": list(ce.pair)}
+def morphism_oracle(phi, table_a: OpTable, table_b: OpTable, kind: str):
+    """(preserved, reversed, violated, indeterminate, first violation) of phi
+    from table_a to table_b for the kind, on labels: products through
+    `OpTable.product`, phi as `dict(phi.pairs())`.  The counts and the first
+    violation are those of `morphisms._check`'s report, by the definitions in
+    `PairCounts`, pair by ordered domain pair in domain order."""
+    return _label_morphism_oracle(dict(phi.pairs()), table_a, table_b, kind)
+
+
+def _label_morphism_oracle(f: dict, table_a: OpTable, table_b: OpTable, kind: str):
+    def product(table, x, y):  # None outside the carrier or on an INDET cell
+        inside = table.carrier.contains_label
+        return table.product(x, y) if inside(x) and inside(y) else None
+
+    preserved = reversed_ = violated = indet = 0
+    first = None
+    for x in f:
+        for y in f:
+            left = f.get(product(table_a, x, y))
+            fwd, rev = product(table_b, f[x], f[y]), product(table_b, f[y], f[x])
+            preserved += left is not None and fwd is not None and left == fwd
+            reversed_ += left is not None and rev is not None and left == rev
+            side = rev if kind == "rough-anti-hom" else fwd
+            if left is None or side is None:
+                indet += 1
+            elif left == side if kind == "anti-hom" else left != side:
+                violated += 1
+                first = first or (x, y)
+    return preserved, reversed_, violated, indet, first
+
+
+def behaviour_oracle(f: dict, table: OpTable) -> tuple[bool, bool]:
+    """(reverses, preserves) of the label map f over one table: no resolvable
+    pair breaks phi(x*y) = phi(y) o phi(x), resp. phi(x) o phi(y)."""
+    return tuple(_label_morphism_oracle(f, table, table, kind)[2] == 0 for kind in ("rough-anti-hom", "hom"))
+
+
+def composition_outcomes_oracle(table: OpTable, candidates, prop: str):
+    """`verify_composition_props` on labels through `morphism_oracle`'s rule:
+    per checked candidate pair, in order, None when the composite behaves as
+    prop claims, else (phi1, phi2, the composite's first violation).  A pair
+    is skipped unless phi1 reverses and phi2 preserves (p41) or reverses (p42),
+    and unless phi2's image lies in phi1's domain."""
+    kind, want2 = ("rough-anti-hom", 1) if prop == "p41" else ("hom", 0)
+    seen = {}  # each map's label dict and behaviour, once per call, by identity
+
+    def judged(phi):
+        if id(phi) not in seen:
+            f = dict(phi.pairs())
+            seen[id(phi)] = f, behaviour_oracle(f, table)
+        return seen[id(phi)]
+
+    for phi1, phi2 in candidates:
+        (f1, (rev1, _)), (f2, second) = judged(phi1), judged(phi2)
+        if rev1 and second[want2] and set(f2.values()) <= f1.keys():
+            first = _label_morphism_oracle({x: f1[f2[x]] for x in f2}, table, table, kind)[4]
+            yield first and (phi1, phi2, first)
+
+
+def _composition_witness_oracle(table: OpTable, phi1, phi2, pair) -> dict:
+    return {"table": table_json(table)["rows"], "phi1": [list(p) for p in phi1.pairs()],
+            "phi2": [list(p) for p in phi2.pairs()], "pair": list(pair)}
 
 
 def composition_stream_oracle(prop: str, allow_indet: bool, carriers: list[Subset]):
-    """The P41/P42 instance stream on `OpTable`, `Mapping` and `compose`
-    objects, with a `_check` report per map and per checked composite: the
-    object path that `enumeration._composition_stream` replaced with the
-    raw-cell behaviour kernel, kept as its reference.
+    """The P41/P42 instance stream on `OpTable` and `Mapping` objects, every
+    verdict from `composition_outcomes_oracle`: the object path that
+    `enumeration._composition_stream` replaced with the raw-cell fold.
 
     Every checked pair of self-maps of each carrier, over each of its tables.
-    Returns the tables and the pairs skipped as not composable."""
+    Returns the tables and the pairs skipped as not meeting the hypothesis."""
     tables = skipped = 0
     for carrier in carriers:
         maps = list(enum_mappings(carrier, carrier))
-        pairs = [(a, b) for a in maps for b in maps]
+        pairs = list(itertools.product(maps, maps))
         for table in enum_tables(carrier.universe, carrier, allow_indet):
             tables += 1
             skipped += len(pairs)
-            for ce in _composition_outcomes(table, pairs, prop):
+            for ce in composition_outcomes_oracle(table, pairs, prop):
                 skipped -= 1
-                yield ce and partial(_composition_witness_oracle, table, ce)
+                yield ce and partial(_composition_witness_oracle, table, *ce)
     return {"tables": tables, "skipped_pairs": skipped}
 
 

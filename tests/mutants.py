@@ -105,15 +105,24 @@ MUTANTS = (
            ("test_enumeration.py", "test_golden.py")),
     Mutant("p22-empty-x", "enumeration.py", "for x in masks[1:]:", "for x in masks:",
            ("test_enumeration.py", "test_golden.py")),
-    # the P41/P42 behaviour kernel and the stream that reads it
-    Mutant("self-map-reverse-reads-forward", "morphisms.py", "cells[gy * k + gx]", "cells[gx * k + gy]",
+    # the one morphism pair rule, its two folds (`_check`'s report and
+    # `_behaviour`) and the composition check's hypothesis
+    Mutant("pair-reverse-reads-forward", "morphisms.py", "cells_b[qy * kb + qx]", "cells_b[qx * kb + qy]",
            ("test_morphisms.py",)),
-    Mutant("self-map-product-outside-carrier", "morphisms.py", "if xy is INDET or pos[xy] < 0:",
-           "if xy is INDET:", ("test_morphisms.py",)),
-    Mutant("self-map-forward-indet", "morphisms.py", "(fwd is INDET or fwd == left)", "(fwd == left)",
+    Mutant("pair-operand-outside-carrier", "morphisms.py", "if px >= 0 and py >= 0 else None",
+           "if px >= 0 else None", ("test_morphisms.py",)),
+    Mutant("pair-product-outside-domain", "morphisms.py", "left = val.get(xy)", "left = val.get(xy, xy)",
            ("test_morphisms.py",)),
-    Mutant("self-map-reverse-indet", "morphisms.py", "(back is INDET or back == left)", "(back == left)",
+    Mutant("behaviour-forward-indet", "morphisms.py", "(fwd is None or fwd == left)", "(fwd == left)",
            ("test_morphisms.py",)),
+    Mutant("behaviour-reverse-indet", "morphisms.py", "(back is None or back == left)", "(back == left)",
+           ("test_morphisms.py",)),
+    Mutant("check-anti-hom-sense", "morphisms.py", 'elif (left == side) == (kind == "anti-hom"):',
+           "elif left != side:", ("test_morphisms.py",)),
+    Mutant("check-rough-anti-hom-side", "morphisms.py", 'side = rev if kind == "rough-anti-hom" else fwd',
+           "side = fwd", ("test_morphisms.py",)),
+    Mutant("composition-p42-second-preserves", "morphisms.py", 'want2 = 1 if prop == "p41" else 0',
+           "want2 = 1", ("test_morphisms.py",)),
     Mutant("composite-index-swapped", "enumeration.py", "claim[comp[a][b]]", "claim[comp[b][a]]",
            ("test_enumeration.py",)),
     Mutant("p42-second-preserves", "enumeration.py", 'if prop == "p41" else (rev, pres)',

@@ -1,9 +1,11 @@
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from roughalg import (
+    Mapping,
     OpTable,
     Subset,
     canonical_universe,
@@ -21,7 +23,7 @@ from roughalg import (
     neutral_pool,
     verify_composition_props,
 )
-from roughalg.morphisms import _self_map_behaviour, preserves_all, reverses_all
+from roughalg.morphisms import MORPHISM_KINDS, _behaviour, _check
 from roughalg.errors import (
     CarrierMismatchError,
     DomainMismatchError,
@@ -29,7 +31,10 @@ from roughalg.errors import (
     DuplicatePairError,
     MissingPairError,
     UnknownCodomainLabelError,
+    UnknownElementError,
 )
+
+from conftest import behaviour_oracle, composition_outcomes_oracle, morphism_oracle
 
 
 def test_make_mapping():
@@ -48,6 +53,18 @@ def test_make_mapping():
         make_mapping(Subset.full(u), u, [("a", "a"), ("a", "b"), ("b", "b")])
     with pytest.raises(UnknownCodomainLabelError):
         make_mapping(Subset.full(u), u, [("a", "z"), ("b", "b")])
+
+
+def test_apply_outside_domain():
+    u = make_universe(["a", "b", "c"])
+    phi = make_mapping(Subset.from_labels(u, ["a", "c"]), u, [("a", "b"), ("c", "a")])
+    assert (phi.apply("c"), phi.apply_index(0)) == ("a", 1)
+    with pytest.raises(UnknownElementError, match="^'b' not in the mapping domain$"):
+        phi.apply("b")
+    with pytest.raises(UnknownElementError, match="^'b' not in the mapping domain$"):
+        phi.apply_index(1)
+    with pytest.raises(UnknownElementError, match="not in universe"):
+        phi.apply("z")
 
 
 def test_anti_group_hom_identity_on_group(z4):
@@ -156,8 +173,9 @@ def test_rough_anti_hom_without_hom_exists_noncommutative():
                        for i in range(n) for j in range(n))
             if comm:
                 continue
+            raw = (t.cells, t.k, t.pos)
             for phi in enum_mappings(car, car, surjective_only=True):
-                if reverses_all(phi, t, t) and not preserves_all(phi, t, t):
+                if _behaviour(raw, raw, dict(zip(phi.domain, phi.graph))) == (True, False):
                     hit = (t, phi)
                     break
             if hit:
@@ -259,6 +277,29 @@ def test_kernel_image_invariant_under_relabeling(perm1, perm2):
     assert set(base_phi.image().labels()) == set(new_phi.image().labels())
 
 
+def _check_counts(phi, table_a, table_b, kind):
+    """`_check`'s report in the form `morphism_oracle` returns."""
+    rep = _check(phi, table_a, table_b, kind)
+    return tuple(vars(rep.counts).values()) + (rep.first_violation,)
+
+
+def test_check_matches_morphism_oracle_exhaustive():
+    # every table with INDET cells on each carrier of up to 2 of up to 3
+    # elements; every map of the carrier into the universe, images outside the
+    # carrier included, for every kind, and every map of the whole universe,
+    # wider than the carrier as an upper approximation is, for the rough kinds
+    for n in range(1, 4):
+        u = canonical_universe(n)
+        full = Subset.full(u)
+        for k in range(1, min(n, 2) + 1):
+            for carrier in map(partial(Subset.from_indices, u), itertools.combinations(range(n), k)):
+                cases = [*itertools.product(enum_mappings(carrier, full), MORPHISM_KINDS),
+                         *itertools.product(enum_mappings(full, full), ("rough-hom", "rough-anti-hom"))]
+                for t in enum_tables(u, carrier, allow_indet=True):
+                    for phi, kind in cases:
+                        assert _check_counts(phi, t, t, kind) == morphism_oracle(phi, t, t, kind), (t.cells, phi, kind)
+
+
 @st.composite
 def _partial_tables(draw) -> OpTable:
     """A table on a carrier of up to 3 of up to 4 elements, its cells drawn
@@ -272,10 +313,47 @@ def _partial_tables(draw) -> OpTable:
     return OpTable.build(u, carrier, tuple(cells))
 
 
+@st.composite
+def _morphism_cases(draw):
+    """Two tables, and a map from any subset of the first one's universe, so
+    wider than its carrier or outside it, to any elements of the second's."""
+    table_a, table_b = draw(_partial_tables()), draw(_partial_tables())
+    ua, ub = table_a.universe, table_b.universe
+    domain = Subset.from_indices(ua, draw(st.sets(st.integers(0, ua.size - 1))))
+    graph = draw(st.lists(st.integers(0, ub.size - 1), min_size=len(domain), max_size=len(domain)))
+    return Mapping(domain, ub, tuple(graph), Subset.full(ub)), table_a, table_b
+
+
 @settings(max_examples=300, deadline=None)
-@given(_partial_tables())
-def test_self_map_behaviour_matches_object_checks(table):
-    for phi in enum_mappings(table.carrier, table.carrier):
-        graph = tuple(table.pos[v] for v in phi.graph)
-        assert _self_map_behaviour(table.cells, table.k, table.order, table.pos, graph) == (
-            reverses_all(phi, table, table), preserves_all(phi, table, table))
+@given(_morphism_cases())
+def test_check_matches_morphism_oracle(case):
+    phi, table_a, table_b = case
+    for kind in MORPHISM_KINDS:
+        assert _check_counts(phi, table_a, table_b, kind) == morphism_oracle(phi, table_a, table_b, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partial_tables(), st.data())
+def test_behaviour_matches_morphism_oracle(table, data):
+    # the self-maps of the carrier, as the P41/P42 sweep judges them, and a
+    # map of the whole universe, as verify_composition_props may be given one
+    u, raw = table.universe, (table.cells, table.k, table.pos)
+    wide = data.draw(st.lists(st.integers(0, u.size - 1), min_size=u.size, max_size=u.size))
+    maps = [*enum_mappings(table.carrier, table.carrier), Mapping(Subset.full(u), u, tuple(wide), Subset.full(u))]
+    for phi in maps:
+        assert _behaviour(raw, raw, dict(zip(phi.domain, phi.graph))) == behaviour_oracle(dict(phi.pairs()), table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_partial_tables(), st.sampled_from(["p41", "p42"]))
+def test_verify_composition_props_matches_oracle(table, prop):
+    # every pair of the carrier's self-maps and the maps of one carrier
+    # element into the universe, some of which do not compose
+    u = table.universe
+    maps = [*enum_mappings(table.carrier, table.carrier),
+            *(Mapping(Subset.from_indices(u, [x]), u, (v,), Subset.full(u)) for x in table.carrier for v in range(u.size))]
+    candidates = list(itertools.product(maps, maps))
+    rep = verify_composition_props(table, candidates, prop)
+    want = list(composition_outcomes_oracle(table, candidates, prop))
+    assert (rep.checked, rep.skipped) == (len(want), len(candidates) - len(want))
+    assert [(c.phi1, c.phi2, c.pair) for c in rep.counterexamples] == [w for w in want if w]
