@@ -24,8 +24,11 @@ Empty quantifier domains score vacuously: AllTrue for C1-C5, AllFalse for
 the anti-laws C6-C10 (so a one-element group is not anti-abelian).
 
 Each law is one private stream of bucket codes, one per instance in this
-order, over a table's raw cells and carrier positions.  `evaluate_law`
-tallies it; `_has_status`, for `search`, stops where the status is ruled out.
+order, over a table's raw cells and carrier positions; `evaluate_law` tallies
+it.  Search's law stage reads no stream: it judges a window of tables at once,
+one bit per table.  `_instance_masks` gives each instance's true and false
+masks under the same semantics, and `_status_mask` ANDs them into the tables
+that have a status, stopping once none is left.
 
 The product relations (a)-(d) are one mask kernel, `_product_relations`, which
 `check_product_approx_laws` runs on memoised lookups and the P22 sweep on lookup
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Literal, Mapping as TMapping, Optional
 
 from .approx import ApproxSpace, Subset, Universe, _Memo, _witness
@@ -278,16 +281,98 @@ def _status(law: str, t: int, f: int, i: int) -> Status:
     return "Mixed" if i or (t and f) else ("AllTrue" if t else "AllFalse")
 
 
-def _has_status(law: str, status: Status, cells, k: int, order, pos) -> bool:
-    """Whether evaluate_law would give `status`, reading the law's stream
-    only up to the first instance that rules it out."""
-    codes = _STREAMS[law](cells, k, order, pos)
-    first = next(codes, None)
-    if first is None:
-        return _status(law, 0, 0, 0) == status
+# The laws on a window of tables at once, one bit per table: cm[i] maps each
+# value of cell i to the mask of the window's tables that hold it there.  An
+# instance's false mask may be a complement, with infinitely many high ones;
+# masks are only ever ANDed into a window's own.
+
+
+def _equal(a: dict, b: dict) -> int:
+    """The tables where two cells' {value: mask} hold one determinate value."""
+    return sum(m & b.get(v, 0) for v, m in a.items() if v is not INDET)  # disjoint, so a union
+
+
+def _through(c: dict, cm, pos, cell) -> dict:
+    """{value: mask} of cell cell(p) on the tables where c holds the carrier element at
+    position p; where c is INDET or outside the carrier, or cell(p) is INDET, no value."""
+    out: dict = {}
+    for v, m in c.items():
+        if v is not INDET and pos[v] >= 0:
+            for w, x in cm[cell(pos[v])].items():
+                if w is not INDET and x & m:
+                    out[w] = out.get(w, 0) | x & m
+    return out
+
+
+def _neutral(cm, k: int, order, px: int, pe: int) -> int:
+    """The tables where e, at position pe, is a local neutral of x, at position px."""
+    return cm[px * k + pe].get(order[px], 0) & cm[pe * k + px].get(order[px], 0)
+
+
+def _inverse(cm, k: int, order, px: int) -> int:
+    """The tables where some u hits a local neutral e of x from both sides: C4 true at x."""
+    hit = 0
+    for pe in range(k):
+        back = (cm[px * k + pu].get(order[pe], 0) & cm[pu * k + px].get(order[pe], 0) for pu in range(k))
+        hit |= _neutral(cm, k, order, px, pe) & reduce(int.__or__, back)
+    return hit
+
+
+_MASK_NEGATES = {"C6": "C1", "C7": "C2", "C10": "C5"}
+
+
+def _instance_masks(law: str, cm, k: int, order, pos):
+    """Per instance of the law, in `_STREAMS` order, the masks of the tables
+    where it is true and where it is false; neither where indeterminate."""
+    if law in _MASK_NEGATES:
+        for t, f in _instance_masks(_MASK_NEGATES[law], cm, k, order, pos):
+            yield f, t
+    elif law == "C1":
+        for c in cm:
+            inside = sum(m for v, m in c.items() if v is not INDET and pos[v] >= 0)
+            yield inside, ~(inside | c.get(INDET, 0))
+    elif law == "C2":
+        for px, py, pz in itertools.product(range(k), repeat=3):
+            left = _through(cm[px * k + py], cm, pos, lambda q: q * k + pz)
+            right = _through(cm[py * k + pz], cm, pos, lambda r: px * k + r)
+            t = _equal(left, right)
+            yield t, sum(left.values()) & sum(right.values()) & ~t
+    elif law in ("C3", "C4"):
+        for px in range(k):
+            t = (_inverse(cm, k, order, px) if law == "C4"
+                 else reduce(int.__or__, (_neutral(cm, k, order, px, pe) for pe in range(k))))
+            yield t, ~t
+    elif law == "C5":
+        for px in range(k):
+            for py in range(px + 1, k):
+                a, b = cm[px * k + py], cm[py * k + px]
+                t = _equal(a, b)
+                yield t, ~(t | a.get(INDET, 0) | b.get(INDET, 0))
+    elif law == "C8":
+        ident = reduce(int.__or__, (reduce(int.__and__, (_neutral(cm, k, order, px, pe) for px in range(k)))
+                                    for pe in range(k)))
+        yield ~ident, ident
+    else:  # C9
+        f = reduce(int.__or__, (_inverse(cm, k, order, px) for px in range(k)))
+        yield ~f, f
+
+
+def _status_mask(law: str, status: Status, cm, k: int, order, pos, mask: int) -> int:
+    """The tables of `mask`, a set of a window's tables, on which evaluate_law gives
+    `status`: AllTrue where every instance is true, AllFalse where every one is
+    false, Mixed on the rest.  Stops once no table is left."""
     if status == "Mixed":
-        return first == _INDET or any(code != first for code in codes)
-    return first == (_TRUE if status == "AllTrue" else _FALSE) and all(code == first for code in codes)
+        uniform = (_status_mask(law, "AllTrue", cm, k, order, pos, mask)
+                   | _status_mask(law, "AllFalse", cm, k, order, pos, mask))
+        return mask & ~uniform
+    side, empty = status == "AllFalse", True
+    for masks in _instance_masks(law, cm, k, order, pos):
+        empty, mask = False, mask & masks[side]
+        if not mask:
+            break
+    if empty:  # C5 and C10 at k = 1
+        return mask if _status(law, 0, 0, 0) == status else 0
+    return mask
 
 
 def evaluate_law(table: OpTable, law: str) -> LawVerdict:

@@ -22,8 +22,11 @@ once per carrier.  Objects are built only for a failure's witness.
 
 `search` maps `_scan` over ranges of (carrier, table) rests with `_pmap`, on
 worker processes if jobs > 1.  Law constraints see only a candidate's rest,
-so each rest is checked once, on raw cells, by the one worker whose range
-holds it; `_scan` replays the passing rests across partitions and returns
+so each rest is checked once, by the one worker whose range holds it, in a
+window of up to 65,536 of its carrier's tables: `_Tables.masks` gives each
+cell's value masks, one bit per table, `algebra._status_mask` each
+constraint's, and `_passing_rests` yields the bits that survive them all.
+`_scan` replays the passing rests across partitions and returns
 hit indices in an `array('q')`, which `search` merges in order.  The hits
 stay compact indices, 8 bytes each, in `SearchHits`, which holds the one
 candidate numbering: it decodes a `SearchHit` only on access, and the CLI
@@ -57,7 +60,7 @@ from .approx import (
     make_universe,
     space_from_partition,
 )
-from .algebra import (INDET, STATUSES, TABLE_LAWS, OpTable, _congruent, _has_status, _product_relations,
+from .algebra import (INDET, STATUSES, TABLE_LAWS, OpTable, _congruent, _product_relations, _status_mask,
                       _set_product, evaluate_law)  # noqa: F401 (bench/micro.py patches evaluate_law here)
 from .errors import EmptyCarrierError, EmptySetError, NotInCarrierError, SizeOutOfRangeError
 from .morphisms import Mapping, _behaviour, _composition_outcomes
@@ -155,6 +158,28 @@ class _Tables:
     def cells(self, t: int) -> tuple:
         """Table t's k*k cells, first cell first."""
         return tuple(v for row in self.rows(t) for v in self.row_cells(row))
+
+    def masks(self, lo: int, hi: int) -> list[dict]:
+        """Per cell, {value: mask} over tables lo..hi-1, bit j set when table lo + j
+        holds the value there; nonzero masks only.  Cell i is the base-V digit of
+        weight r = V**(k*k - 1 - i): on at most r tables one value, or two split at
+        the next multiple of r; else digit d is a run of r ones at d*r, repeated
+        with period V*r (by doubling), shifted right by lo mod V*r."""
+        base, width = len(self.values), hi - lo
+        full, out = (1 << width) - 1, []
+        for i in range(self.k * self.k):
+            r = base ** (self.k * self.k - 1 - i)
+            if r >= width:
+                d, split = lo // r % base, r - lo % r
+                masks = {d: (1 << split) - 1, (d + 1) % base: full >> split << split} if split < width else {d: full}
+            else:
+                period, shift = base * r, lo % (base * r)
+                runs, size = (1 << r) - 1, period
+                while size < shift + width:
+                    runs, size = runs | runs << size, 2 * size
+                masks = {d: runs << d * r >> shift & full for d in range(base)}
+            out.append({self.values[d]: m for d, m in masks.items() if m})
+        return out
 
 
 def enum_tables(universe: Universe, carrier: Subset, allow_indet: bool = False) -> Iterator[OpTable]:
@@ -320,16 +345,29 @@ class SearchOutcome:
     budget_exhausted: bool
 
 
+_WINDOW = 1 << 16  # tables per law-stage window: an 8 KB mask
+
+
 def _passing_rests(hits: SearchHits, lo: int, hi: int) -> Iterator[int]:
     """Rest indices (carrier, then table) in lo..hi-1 whose table meets every
-    law constraint, walking each carrier's tables in enum_tables order."""
+    law constraint, in order.  Each carrier's tables in range are judged in
+    windows of up to _WINDOW, each built when the rest before it is passed:
+    a constraint's status mask, one bit per table, narrows the window's mask."""
     for cidx, tables in enumerate(hits.tables):
         base = cidx * tables.count
-        for rest, cells in zip(range(max(lo, base), min(hi, base + tables.count)),
-                               tables.walk(max(lo - base, 0))):
-            if all(_has_status(law, status, cells, tables.k, tables.order, tables.pos)
-                   for law, status in hits.spec.law_constraints):
-                yield rest
+        start, stop = max(lo - base, 0), min(hi - base, tables.count)
+        for a in range(start, stop, _WINDOW):
+            b = min(a + _WINDOW, stop)
+            mask = (1 << (b - a)) - 1
+            if hits.spec.law_constraints:
+                cm = tables.masks(a, b)
+                for law, status in hits.spec.law_constraints:
+                    mask = mask and _status_mask(law, status, cm, tables.k, tables.order, tables.pos, mask)
+            bits = format(mask, "b")[::-1]  # bit j at position j
+            j = bits.find("1")
+            while j >= 0:
+                yield base + a + j
+                j = bits.find("1", j + 1)
 
 
 def _scan(spec: SearchSpec, lo: int, hi: int) -> array:

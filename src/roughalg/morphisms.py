@@ -48,6 +48,8 @@ class Mapping:
     target: Subset
 
     def apply_index(self, ix: int) -> int:
+        if not 0 <= ix < self.domain.universe.size:
+            raise UnknownElementError(f"index {ix} not in the mapping domain")
         if not self.domain.contains_index(ix):
             raise UnknownElementError(f"{self.domain.universe.labels[ix]!r} not in the mapping domain")
         return self.graph[tuple(self.domain).index(ix)]
@@ -214,9 +216,13 @@ def check_hom(phi: Mapping, table_c: OpTable, table_b: OpTable) -> MorphismRepor
     return _check(phi, table_c, table_b, "hom")
 
 
-def _require_endpoints(phi: Mapping, table_c: OpTable, table_b: OpTable) -> None:
+def _require_universes(phi: Mapping, table_c: OpTable, table_b: OpTable) -> None:
     if phi.domain.universe != table_c.universe or phi.codomain != table_b.universe:
         raise CarrierMismatchError("mapping endpoints do not match the tables' universes")
+
+
+def _require_endpoints(phi: Mapping, table_c: OpTable, table_b: OpTable) -> None:
+    _require_universes(phi, table_c, table_b)
     if not phi.domain.issubset(table_c.carrier):
         raise CarrierMismatchError("mapping domain leaves the source carrier")
     if not phi.image().issubset(table_b.carrier):
@@ -234,8 +240,7 @@ def check_rough_hom(
     """Surjection upper(A) -> upper(B) preserving (or reversing) products."""
     if kind not in ("rough-hom", "rough-anti-hom"):
         raise ValueError(f"kind must be rough-hom or rough-anti-hom, got {kind!r}")
-    if phi.domain.universe != table_a.universe or phi.codomain != table_b.universe:
-        raise CarrierMismatchError("mapping endpoints do not match the tables' universes")
+    _require_universes(phi, table_a, table_b)
     if space_a.universe != table_a.universe or space_b.universe != table_b.universe:
         raise CarrierMismatchError("spaces do not match the tables' universes")
     if phi.domain != approximate(space_a, table_a.carrier).upper:
@@ -286,8 +291,12 @@ def verify_composition_props(
     p42: both reverse, so phi1 o phi2 must preserve.
 
     Candidate pairs whose per-pair behavior does not match the proposition's
-    hypothesis (or that do not compose) are skipped, not errors.
+    hypothesis (or that do not compose) are skipped, not errors.  A map over
+    another universe than the table's is an error, CarrierMismatchError; a
+    map that leaves the carrier is not.
     """
+    for phi in itertools.chain.from_iterable(candidates):
+        _require_universes(phi, table, table)
     outcomes = list(_composition_outcomes(table, candidates, prop))
     bad = tuple(o for o in outcomes if o is not None)
     return CompositionReport(prop, len(outcomes), len(candidates) - len(outcomes), bad)

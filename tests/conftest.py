@@ -378,6 +378,17 @@ def law_counts_oracle(table, law):
     return (t, f, i)
 
 
+def cell_masks_oracle(cells_seq) -> list[dict]:
+    """Per cell, {value: mask} of a run of tables' raw cells, bit j set when
+    the j-th table holds that value there."""
+    out: list[dict] = []
+    for j, cells in enumerate(cells_seq):
+        out = out or [{} for _ in cells]
+        for masks, v in zip(out, cells):
+            masks[v] = masks.get(v, 0) | 1 << j
+    return out
+
+
 def status_oracle(law: str, counts: tuple[int, int, int]) -> str:
     """Status from (true, false, indeterminate) counts; empty domains are
     AllTrue for C1-C5 and AllFalse for the anti-laws C6-C10."""

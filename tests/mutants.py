@@ -136,8 +136,8 @@ MUTANTS = (
     # renderer behind SearchOutcome.hits and the CLI report
     Mutant("scan-budget-one-past", "enumeration.py", "if idx >= end:", "if idx > end:",
            ("test_enumeration.py",)),
-    Mutant("passing-rests-start-off-by-one", "enumeration.py", "tables.walk(max(lo - base, 0))",
-           "tables.walk(max(lo - base, 0) + 1)", ("test_enumeration.py",)),
+    Mutant("passing-rests-start-off-by-one", "enumeration.py", "start, stop = max(lo - base, 0), min(",
+           "start, stop = max(lo - base, 0) + 1, min(", ("test_enumeration.py",)),
     Mutant("hit-rows-reversed", "enumeration.py", "number // base ** (self.k - 1 - d) % base",
            "number // base ** d % base", ("test_enumeration.py", "test_cli.py")),
     Mutant("hit-split-swapped", "enumeration.py", "sidx, rest = divmod(idx, self.per_space)",
@@ -146,13 +146,43 @@ MUTANTS = (
            "[rows[v] if v in rows else rows.setdefault(v, row(v)) for v in tables.rows(t)]",
            "[rows[r] if r in rows else rows.setdefault(r, row(v)) for r, v in enumerate(tables.rows(t))]",
            ("test_cli.py",)),
-    # search's law stage: each status branch of _has_status
-    Mutant("has-status-empty-all-true", "algebra.py", "return _status(law, 0, 0, 0) == status",
-           'return status == "AllTrue"', ("test_algebra.py", "test_enumeration.py")),
-    Mutant("has-status-mixed-without-indet", "algebra.py", "return first == _INDET or any(",
-           "return any(", ("test_algebra.py", "test_enumeration.py")),
-    Mutant("has-status-uniform-allows-other", "algebra.py", "and all(code == first for code in codes)",
-           "and all(code != _INDET for code in codes)", ("test_algebra.py", "test_enumeration.py")),
+    # search's law stage: the window's cell masks, the status masks' empty,
+    # Mixed and uniform branches, each law family's mask formula, and the
+    # decode of the passing tables
+    Mutant("window-shift-by-run", "enumeration.py", "shift = base * r, lo % (base * r)",
+           "shift = base * r, lo % r", ("test_enumeration.py", "test_algebra.py")),
+    Mutant("two-value-split-late", "enumeration.py", "split = lo // r % base, r - lo % r",
+           "split = lo // r % base, r - lo % r + 1", ("test_enumeration.py", "test_algebra.py")),
+    Mutant("set-bit-decode-reversed", "enumeration.py", 'bits = format(mask, "b")[::-1]',
+           'bits = format(mask, "b")', ("test_enumeration.py",)),
+    Mutant("status-empty-all-true", "algebra.py", "return mask if _status(law, 0, 0, 0) == status else 0",
+           'return mask if status == "AllTrue" else 0', ("test_algebra.py", "test_enumeration.py")),
+    Mutant("status-mixed-without-indet", "algebra.py",
+           "yield t, sum(left.values()) & sum(right.values()) & ~t", "yield t, ~t",
+           ("test_algebra.py", "test_enumeration.py")),
+    Mutant("status-mixed-keeps-all-false", "algebra.py",
+           '| _status_mask(law, "AllFalse", cm, k, order, pos, mask))', ")",
+           ("test_algebra.py", "test_enumeration.py")),
+    Mutant("status-uniform-allows-other", "algebra.py", "mask & masks[side]", "mask & (masks[0] | masks[1])",
+           ("test_algebra.py", "test_enumeration.py")),
+    Mutant("c1-outside-with-indet", "algebra.py", "yield inside, ~(inside | c.get(INDET, 0))",
+           "yield inside, ~inside", ("test_algebra.py", "test_enumeration.py")),
+    Mutant("c2-left-side-transposed", "algebra.py", "lambda q: q * k + pz", "lambda q: pz * k + q",
+           ("test_algebra.py", "test_enumeration.py")),
+    Mutant("c2-carrier-check", "algebra.py", "if v is not INDET and pos[v] >= 0:",
+           "if v is not INDET:", ("test_algebra.py", "test_enumeration.py")),
+    Mutant("c3-second-side", "algebra.py", "& cm[pe * k + px].get(order[px], 0)",
+           "& cm[px * k + pe].get(order[px], 0)", ("test_algebra.py", "test_enumeration.py")),
+    Mutant("c4-inverse-one-side", "algebra.py", "& cm[pu * k + px].get(order[pe], 0)",
+           "& cm[px * k + pu].get(order[pe], 0)",
+           ("test_algebra.py", "test_enumeration.py")),
+    Mutant("c5-one-indet-side", "algebra.py", "yield t, ~(t | a.get(INDET, 0) | b.get(INDET, 0))",
+           "yield t, ~(t | a.get(INDET, 0))", ("test_algebra.py", "test_enumeration.py")),
+    Mutant("c8-identity-absorbs", "algebra.py", "_neutral(cm, k, order, px, pe) for px in range(k)",
+           "_neutral(cm, k, order, pe, px) for px in range(k)", ("test_algebra.py", "test_enumeration.py")),
+    Mutant("c9-unnegated", "algebra.py", "yield ~f, f", "yield f, ~f", ("test_algebra.py", "test_enumeration.py")),
+    Mutant("anti-laws-unswapped", "algebra.py", "            yield f, t\n", "            yield t, f\n",
+           ("test_algebra.py", "test_enumeration.py")),
     # classification and the structure checks
     Mutant("strict-ag4-without-c5", "algebra.py", 'for c in ("C1", "C2", "C3", "C5"))',
            'for c in ("C1", "C2", "C3"))', ("test_algebra.py", "test_acceptance.py")),

@@ -19,7 +19,8 @@ from roughalg import (
     make_universe,
     set_product,
 )
-from roughalg.algebra import STATUSES, OpTable, _has_status, associativity_instance
+from roughalg.algebra import STATUSES, OpTable, _status_mask, associativity_instance
+from roughalg.enumeration import _Tables
 from roughalg.errors import (
     CarrierNotFullError,
     EmptyCarrierError,
@@ -31,8 +32,8 @@ from roughalg.errors import (
     UnknownResultLabelError,
 )
 
-from conftest import (blocks_from_rgs, congruence_oracle, law_counts_oracle, product_relations_oracle,
-                      random_rgs, status_oracle, table_dict)
+from conftest import (blocks_from_rgs, cell_masks_oracle, congruence_oracle, law_counts_oracle,
+                      product_relations_oracle, random_rgs, status_oracle, table_dict)
 
 
 def trivial_table():
@@ -207,6 +208,7 @@ def test_law_counts_match_independent_oracle(table):
     for law in TABLE_LAWS:
         v = evaluate_law(table, law)
         assert law_counts_oracle(table, law) == v.counts, law
+        assert v.status == status_oracle(law, v.counts), law
 
 
 @settings(max_examples=150, deadline=None)
@@ -434,27 +436,48 @@ def test_product_approx_laws_match_oracle(instance):
     _product_relations_agree(*instance)
 
 
-def _status_reducer_agrees(table):
-    args = (table.cells, table.k, table.order, table.pos)
+def _status_masks_agree(tables):
+    # each law and status's mask over a window of tables on one carrier, bit j
+    # for tables[j], against each table's status from the label-dict oracle;
+    # on a narrower mask, the kernel keeps just its tables
+    first, cm = tables[0], cell_masks_oracle([t.cells for t in tables])
+    full = (1 << len(tables)) - 1
+    some = full & int("10" * len(tables), 2)
     for law in TABLE_LAWS:
-        status = evaluate_law(table, law).status
-        assert status == status_oracle(law, law_counts_oracle(table, law)), law
-        for asked in STATUSES:
-            assert _has_status(law, asked, *args) == (asked == status), (law, asked)
+        statuses = [status_oracle(law, law_counts_oracle(t, law)) for t in tables]
+        for status in STATUSES:
+            want = sum(1 << j for j, s in enumerate(statuses) if s == status)
+            assert _status_mask(law, status, cm, first.k, first.order, first.pos, full) == want, (law, status)
+            assert _status_mask(law, status, cm, first.k, first.order, first.pos, some) == want & some
 
 
-def test_status_reducer_exhaustive_small():
-    # every table with indeterminate cells on every carrier of size 1 and 2
-    # (size 1 gives the empty C5/C10 domains) at n = 2 and n = 3
-    for n in (2, 3):
-        u = make_universe([str(i) for i in range(n)])
-        for k in (1, 2):
-            for carrier in itertools.combinations(range(n), k):
-                for cells in itertools.product([None, *range(n)], repeat=k * k):
-                    _status_reducer_agrees(OpTable.build(u, Subset.from_indices(u, carrier), cells))
+@pytest.mark.parametrize("n, k, allow_indet", [(1, 1, True), (2, 1, True), (2, 2, True), (3, 1, True),
+                                               (3, 2, True), (3, 3, False)])
+def test_status_masks_exhaustive(n, k, allow_indet):
+    # every table on every carrier as one window: with indeterminate cells at
+    # k <= 2 (k = 1 gives the empty C5/C10 domains), and n = k = 3 without
+    u = make_universe([str(i) for i in range(n)])
+    values = [*range(n), *([None] if allow_indet else [])]
+    for carrier in itertools.combinations(range(n), k):
+        car = Subset.from_indices(u, carrier)
+        _status_masks_agree([OpTable.build(u, car, cells) for cells in itertools.product(values, repeat=k * k)])
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_tables())
-def test_status_reducer_matches_evaluate_law(table):
-    _status_reducer_agrees(table)
+@st.composite
+def table_windows(draw):
+    """A carrier's tables and a window lo..hi-1 of at most 100 of them at a random offset."""
+    n = draw(st.integers(1, 4))
+    u = make_universe([str(i) for i in range(n)])
+    carrier = draw(st.permutations(range(n)))[:draw(st.integers(1, min(n, 3)))]
+    tables = _Tables(u, Subset.from_indices(u, carrier), draw(st.booleans()))
+    lo = draw(st.integers(0, tables.count - 1))
+    return tables, lo, draw(st.integers(lo + 1, min(tables.count, lo + 100)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_windows())
+def test_status_masks_on_windows_at_random_offsets(window):
+    tables, lo, hi = window
+    run = [tables.table(tables.cells(t)) for t in range(lo, hi)]
+    assert tables.masks(lo, hi) == cell_masks_oracle([t.cells for t in run])
+    _status_masks_agree(run)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+from array import array
 from functools import lru_cache
 from math import comb
 
@@ -25,12 +26,12 @@ from roughalg.algebra import STATUSES, TABLE_LAWS
 from roughalg import enumeration
 from roughalg.approx import _LAW_BAD, _lower_upper
 from roughalg.cli import main
-from roughalg.enumeration import (COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, SearchHit, _approx_stream,
-                                  _count, _scan, _space_tasks, bell_number, law_suite)
+from roughalg.enumeration import (COUNTEREXAMPLE_LAWS, STRUCTURAL_CONSTRAINTS, SearchHit, SearchHits, _Tables,
+                                  _approx_stream, _count, _scan, _space_tasks, bell_number, law_suite)
 from roughalg.errors import EmptyCarrierError, EmptySetError, NotInCarrierError, SizeOutOfRangeError
 from roughalg.report import REPORT_SCHEMA
 
-from conftest import composition_stream_oracle, law_counts_oracle, status_oracle
+from conftest import cell_masks_oracle, composition_stream_oracle, law_counts_oracle, status_oracle
 from test_golden import STRUCTURAL_SPECS
 
 
@@ -590,30 +591,61 @@ def test_scan_ranges_match_oracle():
         assert _scan(spec, lo, hi).tolist() == expect
 
 
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_search_oracles_in_small_windows(window, monkeypatch):
+    # law-stage windows of 1, 7 and 64 tables end mid-row and mid-carrier,
+    # and split ranges that start anywhere; the oracle searches still agree
+    monkeypatch.setattr(enumeration, "_WINDOW", window)
+    for n, k in SMALL_SIZES:
+        for allow_indet in (False, True):
+            test_search_every_law_status_matches_oracle(n, k, allow_indet)
+    test_search_random_specs_match_oracle()
+    test_scan_ranges_match_oracle()
+
+
+@pytest.mark.parametrize("n, k, allow_indet", [(1, 1, False), (2, 2, True), (3, 2, False), (3, 3, False)])
+def test_cell_masks_match_the_cells(n, k, allow_indet):
+    # windows of 1 to 64 tables from every start below 300, windows at the
+    # carrier's end, and the whole carrier, against the cells of each table
+    u = canonical_universe(n)
+    tables = _Tables(u, Subset.from_indices(u, range(k)), allow_indet)
+    cells = [tables.cells(t) for t in range(tables.count)]
+    assert cells == list(tables.walk())
+    windows = [(lo, min(lo + w, tables.count)) for lo in range(min(300, tables.count))
+               for w in (1, 2, 3, 5, 7, 64)]
+    windows += [(tables.count - w, tables.count) for w in (1, 7, 64, 1000) if w <= tables.count]
+    for lo, hi in [*windows, (0, tables.count)]:
+        assert tables.masks(lo, hi) == cell_masks_oracle(cells[lo:hi]), (lo, hi)
+
+
+@pytest.mark.parametrize("window", [7, 1 << 16])
 @pytest.mark.parametrize("spec", [
     SearchSpec(3, 2, law_constraints=(("C4", "AllFalse"),), limit=10**6),
     SearchSpec(3, 2, True, (("C1", "Mixed"), ("C3", "AllFalse")), limit=10**6),
 ])
-def test_scan_parts_check_each_rest_once(spec, monkeypatch):
-    # search's _scan parts, run in-process: the law checks summed over the
-    # parts do not grow with their number, and the parts find every hit
-    calls = 0
-    has_status = enumeration._has_status
+def test_scan_parts_check_each_rest_once(spec, window, monkeypatch):
+    # search's _scan parts, run in-process: the windows handed to the law
+    # kernel tile each carrier's tables once, whatever the number of parts,
+    # and the parts find every hit
+    seen = []
+    masks = enumeration._Tables.masks
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return has_status(*args)
+    def recording(tables, lo, hi):
+        seen.append((tables.carrier.mask, lo, hi))
+        return masks(tables, lo, hi)
 
-    monkeypatch.setattr(enumeration, "_has_status", counting)
+    monkeypatch.setattr(enumeration, "_WINDOW", window)
+    monkeypatch.setattr(enumeration._Tables, "masks", recording)
     monkeypatch.setattr(enumeration, "_pmap", lambda fn, argsets, jobs: [fn(*a) for a in argsets])
-    counts = []
+    hits = SearchHits(spec, array("q"))
     for parts in (1, 2, 3):
-        calls = 0
+        seen.clear()
         assert [h.index for h in search(spec, jobs=parts).hits] == _oracle_hits(spec, 0, spec.budget)
-        counts.append(calls)
-    # every rest is checked against its first law at least
-    assert counts[0] >= _per_space(spec) and counts == [counts[0]] * 3
+        assert sum(hi - lo for _, lo, hi in seen) == hits.per_space
+        for tables in hits.tables:
+            windows = sorted((lo, hi) for mask, lo, hi in seen if mask == tables.carrier.mask)
+            assert [lo for lo, _ in windows] == [0] + [hi for _, hi in windows[:-1]]
+            assert windows[-1][1] == tables.count and all(hi - lo <= window for lo, hi in windows)
 
 
 @lru_cache(maxsize=None)

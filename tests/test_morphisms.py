@@ -65,6 +65,9 @@ def test_apply_outside_domain():
         phi.apply_index(1)
     with pytest.raises(UnknownElementError, match="not in universe"):
         phi.apply("z")
+    for ix in (5, -1):  # indices outside the universe
+        with pytest.raises(UnknownElementError, match=f"^index {ix} not in the mapping domain$"):
+            phi.apply_index(ix)
 
 
 def test_anti_group_hom_identity_on_group(z4):
@@ -229,6 +232,21 @@ def test_verify_composition_props_identity():
     for prop in ("p41", "p42"):
         rep = verify_composition_props(table, [(ident, ident)], prop)
         assert rep.checked == 1 and rep.holds
+
+
+@pytest.mark.parametrize("prop", ["p41", "p42"])
+def test_verify_composition_props_rejects_maps_over_another_universe(prop):
+    # the identity on 4 elements against a table on 2, in either place of a
+    # pair, as check_hom rejects it, before any pair is read
+    u, table, _ = _z2()
+    u4 = make_universe(["0", "1", "2", "3"])
+    wide = make_mapping(Subset.full(u4), u4, [(x, x) for x in "0123"])
+    ident = make_mapping(Subset.full(u), u, [("0", "0"), ("1", "1")])
+    with pytest.raises(CarrierMismatchError):
+        check_hom(wide, table, table)
+    for pair in ((wide, wide), (ident, wide), (wide, ident)):
+        with pytest.raises(CarrierMismatchError):
+            verify_composition_props(table, [(ident, ident), pair], prop)
 
 
 def test_verify_composition_props_skips_nonconforming():
